@@ -23,6 +23,7 @@
 #include "campaign/executor.hpp"
 #include "campaign/sink.hpp"
 #include "harness/runner.hpp"
+#include "record_pins.hpp"
 #include "scenario/expand.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/trace_io.hpp"
@@ -109,9 +110,12 @@ TEST(ScenarioGoldenTest, ServingGridByteIdenticalAt100k) {
 /// Expands `name` twice with a 60-value seed axis (other axes pinned by
 /// `extra` overrides), runs every job from both expansions -- the second
 /// with the scheduler flipped to the binary heap -- and requires
-/// byte-identical records.  Two independent expansions, because seeded
+/// byte-identical records that match their pinned digests
+/// (golden/sixty_seeds.txt).  Two independent expansions, because seeded
 /// delay models are stateful and must not be reused across runs.
 void check_sixty_seeds(const std::string& name, std::vector<AxisOverride> extra) {
+  static const pins::RecordPins pins(std::string(LINTIME_SCENARIO_GOLDEN_DIR) +
+                                     "/sixty_seeds.txt");
   std::vector<std::string> seeds;
   for (int s = 1; s <= 60; ++s) seeds.push_back(std::to_string(s));
   extra.push_back({"seed", seeds});
@@ -129,6 +133,7 @@ void check_sixty_seeds(const std::string& name, std::vector<AxisOverride> extra)
     ASSERT_EQ(sim::record_to_string(ra.record), sim::record_to_string(rb.record))
         << name << " job " << a.spec.jobs[i].name
         << " diverged across replays / schedulers";
+    pins.expect(name, i + 1, a.spec.jobs[i].spec.record_detail, ra.record);
   }
 }
 

@@ -21,9 +21,14 @@
 #include "core/algorithm_one.hpp"
 #include "core/timing_policy.hpp"
 #include "harness/runner.hpp"
+#include "record_pins.hpp"
 #include "sim/event_ring.hpp"
 #include "sim/trace_io.hpp"
 #include "sim/world.hpp"
+
+#ifndef LINTIME_SIM_GOLDEN_DIR
+#define LINTIME_SIM_GOLDEN_DIR "tests/sim/golden"
+#endif
 
 namespace lintime::sim {
 namespace {
@@ -178,6 +183,11 @@ TEST(EventRingTest, RandomizedAgainstBinaryHeap) {
 // Scheduler equivalence: event ring vs. legacy binary heap
 // ---------------------------------------------------------------------------
 
+const pins::RecordPins& ring_pins() {
+  static const pins::RecordPins pins(std::string(LINTIME_SIM_GOLDEN_DIR) + "/ring_records.txt");
+  return pins;
+}
+
 std::string ops_to_string(const RunRecord& record) {
   std::string out;
   for (const auto& op : record.ops) {
@@ -195,7 +205,8 @@ std::string ops_to_string(const RunRecord& record) {
 /// run needs a freshly seeded instance.
 void expect_schedulers_agree(const adt::DataType& type,
                              const std::function<harness::RunSpec()>& make_spec,
-                             const std::string& label) {
+                             const std::string& suite, std::uint64_t seed) {
+  const std::string label = suite + " seed " + std::to_string(seed);
   harness::RunResult runs[2][2];  // [scheduler][detail]
   for (const auto sched : {SchedulerKind::kBinaryHeap, SchedulerKind::kEventRing}) {
     for (const auto detail : {RecordDetail::kFull, RecordDetail::kOpsOnly}) {
@@ -206,6 +217,8 @@ void expect_schedulers_agree(const adt::DataType& type,
           [detail == RecordDetail::kOpsOnly ? 1 : 0] = harness::execute(type, spec);
     }
   }
+  ring_pins().expect(suite, seed, RecordDetail::kFull, runs[1][0].record);
+  ring_pins().expect(suite, seed, RecordDetail::kOpsOnly, runs[1][1].record);
   EXPECT_EQ(record_to_string(runs[0][0].record), record_to_string(runs[1][0].record))
       << label << " (full detail)";
   EXPECT_EQ(record_to_string(runs[0][1].record), record_to_string(runs[1][1].record))
@@ -242,7 +255,7 @@ TEST(SchedulerEquivalenceTest, SixtySeedsByteIdentical) {
       spec.scripts = harness::random_scripts(queue, n, 5, seed * 31);
       return spec;
     };
-    expect_schedulers_agree(queue, make_spec, "seed " + std::to_string(seed));
+    expect_schedulers_agree(queue, make_spec, "sixty_seeds", seed);
   }
 }
 
@@ -266,7 +279,7 @@ TEST(SchedulerEquivalenceTest, TieStormByteIdentical) {
       }
       return spec;
     };
-    expect_schedulers_agree(queue, make_spec, "tie storm seed " + std::to_string(seed));
+    expect_schedulers_agree(queue, make_spec, "tie_storm", seed);
   }
 }
 
@@ -292,7 +305,7 @@ TEST(SchedulerEquivalenceTest, BroadcastTieStormByteIdentical) {
       }
       return spec;
     };
-    expect_schedulers_agree(queue, make_spec, "broadcast storm seed " + std::to_string(seed));
+    expect_schedulers_agree(queue, make_spec, "broadcast_tie_storm", seed);
   }
 }
 
@@ -306,29 +319,37 @@ TEST(SchedulerEquivalenceTest, TimersBeforeDeliveriesBothWays) {
     return p;
   }();
   for (const bool timers_first : {false, true}) {
+    const std::string suite = timers_first ? "timers_first" : "deliveries_first";
     for (const std::uint64_t seed : {11u, 22u, 33u}) {
-      std::string run[2];
-      for (const auto sched : {SchedulerKind::kBinaryHeap, SchedulerKind::kEventRing}) {
-        WorldConfig config;
-        config.type = nullptr;
-        config.params = params;
-        config.timers_before_deliveries = timers_first;
-        config.scheduler = sched;
-        config.delays = std::make_shared<UniformRandomDelay>(params.min_delay(), params.d, seed);
-        World world(config, [&](ProcId) {
-          return std::make_unique<core::AlgorithmOneProcess>(
-              queue, core::TimingPolicy::standard(params, 0.0));
-        });
-        for (int i = 0; i < 4; ++i) {
-          for (int p = 0; p < 3; ++p) {
-            world.invoke_at(25.0 * i, p, i % 2 == 0 ? "enqueue" : "dequeue",
-                            adt::Value{i * 3 + p});
+      for (const auto detail : {RecordDetail::kFull, RecordDetail::kOpsOnly}) {
+        std::string run[2];
+        for (const auto sched : {SchedulerKind::kBinaryHeap, SchedulerKind::kEventRing}) {
+          WorldConfig config;
+          config.type = nullptr;
+          config.params = params;
+          config.timers_before_deliveries = timers_first;
+          config.scheduler = sched;
+          config.record_detail = detail;
+          config.delays =
+              std::make_shared<UniformRandomDelay>(params.min_delay(), params.d, seed);
+          World world(config, [&](ProcId) {
+            return std::make_unique<core::AlgorithmOneProcess>(
+                queue, core::TimingPolicy::standard(params, 0.0));
+          });
+          for (int i = 0; i < 4; ++i) {
+            for (int p = 0; p < 3; ++p) {
+              world.invoke_at(25.0 * i, p, i % 2 == 0 ? "enqueue" : "dequeue",
+                              adt::Value{i * 3 + p});
+            }
           }
+          world.run();
+          if (sched == SchedulerKind::kEventRing) {
+            ring_pins().expect(suite, seed, detail, world.record());
+          }
+          run[sched == SchedulerKind::kEventRing ? 1 : 0] = record_to_string(world.record());
         }
-        world.run();
-        run[sched == SchedulerKind::kEventRing ? 1 : 0] = record_to_string(world.record());
+        EXPECT_EQ(run[0], run[1]) << suite << " seed " << seed << " " << pins::detail_name(detail);
       }
-      EXPECT_EQ(run[0], run[1]) << "timers_first=" << timers_first << " seed " << seed;
     }
   }
 }
