@@ -111,7 +111,6 @@ RunResult execute(const adt::DataType& type, const RunSpec& spec) {
   config.drop_probability = spec.drop_probability;
   config.drop_seed = spec.drop_seed;
   config.faults = spec.faults;
-  config.scheduler = spec.scheduler;
   config.record_detail = spec.record_detail;
 
   const bool full_detail = spec.record_detail == sim::RecordDetail::kFull;
@@ -195,7 +194,7 @@ RunResult execute(const adt::DataType& type, const RunSpec& spec) {
     // Intern once per call here rather than per call inside the World; names
     // the type doesn't know stay on the string overload (the process's
     // on_invoke decides what they mean).
-    const adt::OpId id = spec.intern_calls ? type.find_op(call.op) : adt::OpId{};
+    const adt::OpId id = type.find_op(call.op);
     if (id.valid()) {
       world.invoke_at(call.when, call.proc, id, call.arg);
     } else {

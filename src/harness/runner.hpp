@@ -88,18 +88,13 @@ struct RunSpec {
   /// kOpsOnly recording and a raised max_events (Algorithm 1 generates
   /// roughly 3n+2 events per operation, most of them cancelled-but-popped
   /// execute timers, so 10^6 ops at n = 4 needs > 10^7 events).
-  sim::SchedulerKind scheduler = sim::SchedulerKind::kEventRing;
   sim::RecordDetail record_detail = sim::RecordDetail::kFull;
   std::uint64_t max_events = 10'000'000;
 
-  std::vector<Call> calls;  ///< open-loop invocations
-
-  /// When true (default), `calls` are resolved to interned adt::OpId once at
-  /// submission and invoked through the id overload -- the serving fast path.
-  /// The false setting routes every call through the legacy string overload;
-  /// it exists so benchmarks can reproduce the pre-refactor per-call cost,
-  /// and new code should have no reason to clear it.
-  bool intern_calls = true;
+  /// Open-loop invocations, resolved to interned adt::OpId once at
+  /// submission; names the type does not know go through the string
+  /// overload of World::invoke_at.
+  std::vector<Call> calls;
 
   /// Closed-loop scripts: scripts[p] is invoked back-to-back at process p,
   /// the first at `script_start`, each next `script_gap` after the previous

@@ -11,7 +11,8 @@
 //   [scenario]  name, type, check, bench-ops
 //   [model]     n, d, u, eps ("optimal" or a number)
 //   [store]     keys, shards        # wraps `type` in a core::ShardedStore
-//   [run]       algo, scheduler, record, max-events, x-frac, x-abs
+//   [run]       algo, scheduler ("ring" only), record, max-events,
+//               x-frac, x-abs
 //   [delays]    kind ("constant" | "uniform-random" | "matrix"), value,
 //               lo, hi, seed, matrix
 //   [clocks]    drift, rates, offsets

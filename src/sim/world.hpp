@@ -1,12 +1,13 @@
 #pragma once
 // World: the deterministic discrete-event simulator tying together
 // processes, the network (delay model), clocks (offsets) and the trace
-// recorder.  One World = one run of the model of Section 2.2.
+// recorder.  One World = one run of the model of Section 2.2.  Events run
+// from one sim::EventRing in ascending (time, tie rank, FIFO) order; the
+// tie ranks encode the model's equal-time boundary rule (World::tie_rank_of).
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <random>
 #include <vector>
 
@@ -24,15 +25,6 @@ class DataType;
 }  // namespace lintime::adt
 
 namespace lintime::sim {
-
-/// Which event scheduler a World runs on.  Both produce byte-identical
-/// RunRecords (tests/sim/event_ring_test.cpp); the ring is the fast default,
-/// the binary heap is retained as the equivalence baseline and for the
-/// pre-refactor comparison in BM_ServingThroughput.
-enum class SchedulerKind {
-  kEventRing,   ///< contiguous calendar queue + shared broadcast payloads
-  kBinaryHeap,  ///< the original std::priority_queue + per-send side tables
-};
 
 /// How much of the run to record.  Step and message records dominate memory
 /// at serving scale (a 10^6-op run generates ~10^7 steps); kOpsOnly keeps
@@ -79,7 +71,6 @@ struct WorldConfig {
   bool enforce_valid_delays = true;    ///< assert delays within [d-u, d]
   bool enforce_valid_skew = true;      ///< assert |c_i - c_j| <= eps
 
-  SchedulerKind scheduler = SchedulerKind::kEventRing;
   RecordDetail record_detail = RecordDetail::kFull;
 
   /// ABLATION ONLY: process timer expirations before message receipts at
@@ -139,40 +130,10 @@ class World {
   [[nodiscard]] Process& process(ProcId p) { return *processes_[static_cast<std::size_t>(p)]; }
 
  private:
-  // Legacy-scheduler events are deliberately payload-free: the heap sifts in
-  // push/pop move each displaced element O(log n) times, so carrying the
-  // invocation's op-name string and argument Value inside Event would copy
-  // them on every sift.  Payloads live in side maps (pending_invokes_ /
-  // in_flight_ / timers_) keyed by id -- one move in at schedule time, one
-  // move out at dispatch -- and Event stays a small trivially-movable
-  // struct.  The ring scheduler shares the same side tables for invokes and
-  // timers but references broadcast-shared message payloads by arena slot
-  // (see payloads_).
-  struct Event {
-    Time when = 0;
-    std::uint64_t seq = 0;  ///< tie-break: FIFO among simultaneous events
-    EventKind kind = EventKind::kInvoke;
-    ProcId proc = 0;
-
-    // kInvoke: invoke_id; kDeliver: message_id; kTimer: timer_id.
-    std::uint64_t id = 0;
-
-    // At equal times, deliveries are processed before timers and timers
-    // before invocations (tie_rank, set at push time; the deliver-first rule
-    // can be flipped for ablation via WorldConfig).  The deliver-before-timer
-    // rule matters for correctness at exact boundary ties: Lemma 5's argument
-    // ("every process knows about op1 by t+d <= t'+d+eps before it executes
-    // op2") permits equality, in which case the message receipt must be
-    // handled before the execute timer that fires at the same instant.
-    int tie_rank = 0;
-
-    friend bool operator>(const Event& a, const Event& b) {
-      if (a.when != b.when) return a.when > b.when;
-      if (a.tie_rank != b.tie_rank) return a.tie_rank > b.tie_rank;
-      return a.seq > b.seq;
-    }
-  };
-
+  // Event-ring entries carry only a dispatch key (sim/event_ring.hpp).
+  // Payloads live in side arenas keyed by id -- one move in at schedule
+  // time, one move out at dispatch -- so RingEvent stays a small
+  // trivially-copyable struct that the per-bucket sort moves cheaply.
   struct PendingTimer {
     ProcId proc;
     Payload data;
@@ -184,18 +145,11 @@ class World {
     adt::OpId op_id;  ///< resolved once at invoke_at when config_.type is set
   };
 
-  /// Heap scheduler only: one stored payload per delivery.
-  struct PendingMessage {
-    ProcId src;
-    ProcId dst;
-    Payload payload;
-  };
-
-  /// Ring scheduler: one stored payload per send OR broadcast; `remaining`
-  /// deliveries reference the slot before it is reclaimed.  This is what
-  /// makes Algorithm 1's broadcasts cheap -- n-1 ring entries fan out from
-  /// one payload instead of n-1 deep copies of the announcement.  The
-  /// payload itself is a typed inline record (sim/payload.hpp); the rare
+  /// One stored payload per send OR broadcast; `remaining` deliveries
+  /// reference the slot before it is reclaimed.  This is what makes
+  /// Algorithm 1's broadcasts cheap -- n-1 ring entries fan out from one
+  /// payload instead of n-1 deep copies of the announcement.  The payload
+  /// itself is a typed inline record (sim/payload.hpp); the rare
   /// oversized argument is a refcounted box inside PayloadVal, so even then
   /// fan-out shares one heap object.
   struct SharedPayload {
@@ -217,8 +171,8 @@ class World {
   /// steps) that bookkeeping was a measurable share of the hot loop.
   template <bool kFull>
   void dispatch_impl(EventKind kind, ProcId proc, std::uint64_t id, std::uint64_t payload_slot);
+  /// Equal-time tie-break rank of an event kind (see the definition).
   [[nodiscard]] int tie_rank_of(EventKind kind) const;
-  void push_event(Event ev);
   void push_ring(EventKind kind, Time when, ProcId proc, std::uint64_t id, std::uint64_t slot);
 
   /// True if `proc` has halted by real time `t` (crash times are snapped to
@@ -232,8 +186,7 @@ class World {
   WorldConfig config_;
   bool record_full_ = true;  ///< config_.record_detail == kFull
   std::vector<std::unique_ptr<Process>> processes_;
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;  ///< kBinaryHeap
-  EventRing ring_;                                                        ///< kEventRing
+  EventRing ring_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t next_timer_id_ = 1;
   std::uint64_t next_message_id_ = 1;
@@ -255,8 +208,7 @@ class World {
   // Sequential ids consumed near-FIFO: SlotMap beats std::map's node
   // allocation + pointer chase on the dispatch hot path.
   SlotMap<PendingTimer> timers_;            ///< live timers
-  SlotMap<PendingMessage> in_flight_;       ///< undelivered messages (heap mode)
-  SlotMap<SharedPayload> payloads_;         ///< message payload arena (ring mode)
+  SlotMap<SharedPayload> payloads_;         ///< undelivered message payloads
   SlotMap<PendingInvoke> pending_invokes_;  ///< scheduled invocations
 
   /// Pending invocation per process (index into record_.ops), or -1.

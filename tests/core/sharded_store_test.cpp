@@ -46,10 +46,12 @@ TEST(ShardedStoreTest, OpsMirrorComponentInOrder) {
 TEST(ShardedStoreTest, SplitValidatesEnvelope) {
   adt::RegisterType reg;
   ShardedStore store(reg, 100, 4);
-  EXPECT_THROW(store.split(Value{7}), std::invalid_argument);       // not a vec
-  EXPECT_THROW(store.split(Value::nil()), std::invalid_argument);   // not a vec
-  EXPECT_THROW(store.split(ShardedStore::keyed(100, Value{1})), std::invalid_argument);
-  EXPECT_THROW(store.split(ShardedStore::keyed(-1, Value{1})), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(store.split(Value{7})), std::invalid_argument);  // not a vec
+  EXPECT_THROW(static_cast<void>(store.split(Value::nil())), std::invalid_argument);  // not a vec
+  EXPECT_THROW(static_cast<void>(store.split(ShardedStore::keyed(100, Value{1}))),
+               std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(store.split(ShardedStore::keyed(-1, Value{1}))),
+               std::invalid_argument);
 
   const Value ok = ShardedStore::keyed(42, Value{7});
   const auto ka = store.split(ok);

@@ -190,16 +190,14 @@ TEST(ExpandTest, ShardedServingRequiresStoreAndSharesIt) {
       "[scenario]\nname = \"srv\"\ntype = \"queue\"\n"
       "[model]\nn = 4\nd = 10.0\nu = 2.0\neps = 1.0\n"
       "[store]\nkeys = 64\nshards = 4\n"
-      "[run]\nalgo = \"sharded-serving\"\nscheduler = \"$sched\"\nrecord = \"ops-only\"\n"
-      "[workload]\nkind = \"sharded\"\nops-per-proc = 4\nseed = 1\n"
-      "[grid]\naxis.sched = [\"ring\", \"heap\"]\n",
+      "[run]\nalgo = \"sharded-serving\"\nrecord = \"ops-only\"\n"
+      "[workload]\nkind = \"sharded\"\nops-per-proc = 4\nseed = \"$seed\"\n"
+      "[grid]\naxis.seed = [1, 2]\n",
       "srv.toml"));
   ASSERT_EQ(c.spec.jobs.size(), 2u);
   ASSERT_EQ(c.stores.size(), 1u);  // one (keys, shards) pair -> one shared store
   EXPECT_EQ(c.spec.jobs[0].type, c.spec.jobs[1].type);
   EXPECT_EQ(c.spec.jobs[0].type, c.stores[0].get());
-  EXPECT_EQ(c.spec.jobs[0].spec.scheduler, sim::SchedulerKind::kEventRing);
-  EXPECT_EQ(c.spec.jobs[1].spec.scheduler, sim::SchedulerKind::kBinaryHeap);
 }
 
 TEST(ExpandTest, MakeDataTypeKnowsTheRegistry) {

@@ -130,5 +130,19 @@ TEST(ScenarioTest, NegativeFixturesAllRejectedWithLocation) {
   }
 }
 
+// The simulator has one event scheduler: any [run] scheduler other than
+// "ring" is rejected at its own line, and the error names the only value.
+TEST(ScenarioTest, NonRingSchedulerRejectedNamingRing) {
+  const std::string path = std::string(LINTIME_SCENARIO_FIXTURE_DIR) + "/bad_scheduler.toml";
+  try {
+    (void)expand(load_scenario_file(path));
+    ADD_FAILURE() << path << " loaded and expanded without error";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_EQ(msg.rfind(path + ":13:", 0), 0u) << msg;
+    EXPECT_NE(msg.find("the only scheduler is ring"), std::string::npos) << msg;
+  }
+}
+
 }  // namespace
 }  // namespace lintime::scenario
