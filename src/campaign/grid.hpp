@@ -44,8 +44,8 @@ class Grid {
   /// must have at least one value (both checked at expansion).
   Grid& axis(std::string name, std::vector<std::string> values);
 
-  /// Numeric axes; values are canonicalized with shortest round-trip
-  /// formatting (sink.hpp fmt_double) so labels are stable and re-parsable.
+  /// Numeric axes; values are canonicalized with round-trip formatting
+  /// (sink.hpp fmt_double) so labels are stable and re-parsable.
   Grid& axis(std::string name, const std::vector<double>& values);
   Grid& axis(std::string name, const std::vector<int>& values);
 

@@ -1,8 +1,9 @@
 #include "campaign/sink.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <iomanip>
 #include <ostream>
 #include <sstream>
 #include <thread>
@@ -13,21 +14,30 @@ std::string fmt_double(double v) {
   if (std::isnan(v)) return "nan";
   if (std::isinf(v)) return v > 0 ? "inf" : "-inf";
   if (v == 0.0) return "0";  // normalize -0
+  char buf[32];
   if (v == std::floor(v) && std::abs(v) < 1e15) {
     // Integral values print as integers ("10", not the equally-round-trip
     // but unreadable "1e+01" that precision-1 %g would produce).
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-    return buf;
+    const auto out = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed, 0);
+    return {buf, out.ptr};
   }
-  for (int prec = 1; prec <= 17; ++prec) {
-    std::ostringstream os;
-    os << std::setprecision(prec) << v;
-    if (std::stod(os.str()) == v) return os.str();
+  // %.Pg for the smallest P that parses back to v; P = 17 always does.
+  // to_chars/from_chars are locale-independent, unlike iostreams and stod.
+  // No P below the digit count of the shortest round-trip form, less one,
+  // can parse back: to_chars picks the form with the fewest characters, and
+  // fewer digits are never longer except where the exponent gains a digit
+  // (e-99 against e-100), a tie it may break toward the longer form.
+  const auto shortest = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::scientific);
+  const auto digits = std::count_if(buf, std::find(buf, shortest.ptr, 'e'),
+                                    [](char c) { return c >= '0' && c <= '9'; });
+  for (int prec = std::max(1, static_cast<int>(digits) - 1); prec < 17; ++prec) {
+    const auto out = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, prec);
+    double back = 0;
+    const auto in = std::from_chars(buf, out.ptr, back);
+    if (in.ec == std::errc{} && back == v) return {buf, out.ptr};
   }
-  std::ostringstream os;
-  os << std::setprecision(17) << v;
-  return os.str();
+  const auto out = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17);
+  return {buf, out.ptr};
 }
 
 std::string json_escape(const std::string& s) {

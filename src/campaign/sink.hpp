@@ -3,8 +3,8 @@
 // campaign layer can emit its results as JSON (full fidelity: per-job tags,
 // metrics, errors, plus the campaign aggregate) and CSV (one row per
 // (job, operation), friendly to spreadsheets and pandas).  Both formats are
-// deterministic functions of the CampaignResult -- number formatting is
-// shortest-round-trip and key order is fixed -- so output bytes are
+// deterministic functions of the CampaignResult -- numbers round-trip
+// (fmt_double) and key order is fixed -- so output bytes are
 // identical regardless of executor thread count.
 //
 // Wall-clock timings are deliberately NOT part of these sinks (they would
@@ -19,8 +19,10 @@
 
 namespace lintime::campaign {
 
-/// Shortest decimal string that parses back to exactly `v` ("0.1", not
-/// "0.10000000000000001"); "inf"/"-inf"/"nan" for non-finite values.
+/// `%.Pg` with the smallest P that parses back to exactly `v` ("0.1", not
+/// "0.10000000000000001"), locale-independent.  Integral values below 1e15
+/// print as integers ("10", not "1e+01"), -0 prints as "0", and non-finite
+/// values as "inf"/"-inf"/"nan".
 [[nodiscard]] std::string fmt_double(double v);
 
 /// JSON string escaping per RFC 8259 (quotes, backslash, control chars).

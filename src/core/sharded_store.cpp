@@ -417,13 +417,12 @@ void ShardedServingProcess::set_execution_logging(bool on) {
 std::vector<sim::OpRecord> restrict_to_key(const std::vector<sim::OpRecord>& ops,
                                            const ShardedStore& store, std::int64_t key) {
   std::vector<sim::OpRecord> out;
-  for (auto op : ops) {
+  for (const auto& op : ops) {
     const auto ka = store.split(op.arg);
     if (ka.key != key) continue;
-    // Copy before overwriting: ka.inner points into op.arg's own vector.
-    adt::Value inner = *ka.inner;
-    op.arg = std::move(inner);
-    out.push_back(std::move(op));
+    // Only kept records are copied, and their arg without the envelope.
+    out.push_back(sim::OpRecord{op.proc, op.op, *ka.inner, op.ret, op.invoke_real,
+                                op.response_real, op.uid, op.op_id});
   }
   return out;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 
 #include "adt/register_type.hpp"
 #include "lin/fast/registry.hpp"
@@ -23,30 +22,44 @@ Classification fallback(adt::MonitorFamily family, std::string reason) {
 /// order and the monitors need only the former.  Zero-gap boundaries are
 /// exactly the case the general checker's uid tiebreak exists for.
 bool strictly_gapped_per_process(const std::vector<sim::OpRecord>& ops) {
-  std::vector<std::size_t> order(ops.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&ops](std::size_t a, std::size_t b) {
-    if (ops[a].proc != ops[b].proc) return ops[a].proc < ops[b].proc;
-    if (ops[a].invoke_real != ops[b].invoke_real) return ops[a].invoke_real < ops[b].invoke_real;
-    return ops[a].uid < ops[b].uid;
+  // Sorted as a contiguous key vector: the comparator never touches the
+  // (much larger) records.
+  struct Interval {
+    sim::ProcId proc;
+    sim::Time invoke;
+    std::uint64_t uid;
+    sim::Time response;
+  };
+  std::vector<Interval> order;
+  order.reserve(ops.size());
+  for (const auto& r : ops) order.push_back({r.proc, r.invoke_real, r.uid, r.response_real});
+  std::sort(order.begin(), order.end(), [](const Interval& a, const Interval& b) {
+    if (a.proc != b.proc) return a.proc < b.proc;
+    if (a.invoke != b.invoke) return a.invoke < b.invoke;
+    return a.uid < b.uid;
   });
   for (std::size_t k = 1; k < order.size(); ++k) {
-    const auto& prev = ops[order[k - 1]];
-    const auto& next = ops[order[k]];
-    if (prev.proc == next.proc && !(prev.response_real < next.invoke_real)) return false;
+    const auto& prev = order[k - 1];
+    const auto& next = order[k];
+    if (prev.proc == next.proc && !(prev.response < next.invoke)) return false;
   }
   return true;
 }
 
 /// The family's "distinct mutator" condition: the args of `mutator`-named
-/// operations are pairwise distinct.  Returns the offending arg count.
+/// operations are pairwise distinct.  Sorts pointers to the args: O(n log n)
+/// with no value copied and no per-value allocation.
 bool mutator_args_distinct(const std::vector<sim::OpRecord>& ops, const std::string& mutator) {
-  std::map<adt::Value, std::uint32_t> seen;  // ordered: deterministic, O(n log n)
+  std::vector<const adt::Value*> args;
   for (const auto& r : ops) {
-    if (r.op != mutator) continue;
-    if (++seen[r.arg] > 1) return false;
+    if (r.op == mutator) args.push_back(&r.arg);
   }
-  return true;
+  const auto by_value = [](const adt::Value* a, const adt::Value* b) { return *a < *b; };
+  std::sort(args.begin(), args.end(), by_value);
+  // Sorted, so neighbours are duplicates unless the first is strictly less.
+  return std::adjacent_find(args.begin(), args.end(), [&by_value](const auto* a, const auto* b) {
+           return !by_value(a, b);
+         }) == args.end();
 }
 
 }  // namespace

@@ -7,8 +7,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <iomanip>
+#include <limits>
+#include <locale>
 #include <memory>
+#include <random>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "adt/queue_type.hpp"
@@ -226,6 +237,126 @@ TEST(SinkTest, FmtDoubleShortestRoundTrip) {
   EXPECT_EQ(fmt_double(10.0), "10");
   EXPECT_EQ(fmt_double(-3.0), "-3");
   EXPECT_EQ(fmt_double(8.4), "8.4");
+}
+
+/// The formatter fmt_double replaced, kept as the oracle: iostream
+/// `setprecision(P)` (that is, `%.Pg`) for the smallest P that `std::stod`
+/// parses back to `v`.  It throws std::out_of_range where stod does: on
+/// subnormal results and on overflowing parses (DBL_MAX at P = 1).
+std::string stream_fmt_double(double v) {
+  if (std::isnan(v)) return "nan";
+  if (std::isinf(v)) return v > 0 ? "inf" : "-inf";
+  if (v == 0.0) return "0";
+  if (v == std::floor(v) && std::abs(v) < 1e15) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.0f", v);
+    return buf;
+  }
+  for (int prec = 1; prec <= 17; ++prec) {
+    std::ostringstream os;
+    os << std::setprecision(prec) << v;
+    if (std::stod(os.str()) == v) return os.str();
+  }
+  std::ostringstream os;
+  os << std::setprecision(17) << v;
+  return os.str();
+}
+
+/// The same contract spelled with printf/strtod, ignoring strtod's ERANGE:
+/// the oracle for the inputs stream_fmt_double throws on.
+std::string printf_fmt_double(double v) {
+  char buf[32];
+  for (int prec = 1; prec <= 17; ++prec) {
+    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
+    if (std::strtod(buf, nullptr) == v) break;
+  }
+  return buf;
+}
+
+/// Checks fmt_double(v) against the oracles and that it parses back to v.
+void expect_formats_like_oracle(double v) {
+  const std::string got = fmt_double(v);
+  std::string want;
+  try {
+    want = stream_fmt_double(v);
+  } catch (const std::out_of_range&) {
+    want = printf_fmt_double(v);
+  }
+  EXPECT_EQ(got, want) << "bits " << std::hexfloat << v;
+  if (std::isnan(v)) {
+    EXPECT_TRUE(std::isnan(std::stod(got))) << got;
+  } else if (v != 0.0 && std::abs(v) < std::numeric_limits<double>::min()) {
+    // stod throws on every subnormal result; strtod still returns it.
+    EXPECT_EQ(std::strtod(got.c_str(), nullptr), v) << got;
+  } else {
+    EXPECT_EQ(std::stod(got), v) << got;
+  }
+}
+
+TEST(SinkTest, FmtDoubleMatchesStreamOracle) {
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::max(),
+                                -std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::min(),
+                                std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::epsilon(),
+                                0.1 + 0.2,
+                                1.0 / 3.0,
+                                std::nextafter(1.0, 2.0),
+                                1e15,
+                                1e15 + 0.5,
+                                1e16,
+                                9007199254740993.0};
+  std::mt19937_64 rng(20141);
+  const auto from_bits = [](std::uint64_t bits) {
+    double d = 0;
+    std::memcpy(&d, &bits, sizeof d);
+    return d;
+  };
+  for (int i = 0; i < 40000; ++i) values.push_back(from_bits(rng()));  // any bit pattern
+  for (int k = -10000; k <= 10000; ++k) {
+    values.push_back(k / 10.0);  // grid values
+    values.push_back(k / 1000.0);
+  }
+  for (int k = -2500; k < 2500; ++k) {
+    values.push_back(1e15 + k);  // either side of the integer branch's bound
+    values.push_back(-1e15 + k + 0.5);
+  }
+  for (int i = 0; i < 5000; ++i) {
+    values.push_back(from_bits(rng() & ((std::uint64_t{1} << 52U) - 1U)));  // subnormal
+  }
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (int i = 0; i < 10000; ++i) values.push_back(unit(rng));  // mostly 16-17 digits
+  ASSERT_GE(values.size(), 100000u);
+
+  std::size_t seventeen = 0;  // values 16 significant digits do not round-trip
+  for (const double v : values) {
+    expect_formats_like_oracle(v);
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.16g", v);
+    if (std::isfinite(v) && std::strtod(buf, nullptr) != v) ++seventeen;
+    if (::testing::Test::HasFailure()) break;  // one report is enough
+  }
+  EXPECT_GT(seventeen, 1000u);  // the 17-digit case was reached
+}
+
+/// A numpunct that spells the decimal point ','.
+struct CommaDecimal : std::numpunct<char> {
+  [[nodiscard]] char do_decimal_point() const override { return ','; }
+};
+
+TEST(SinkTest, FmtDoubleIgnoresGlobalLocale) {
+  const std::locale previous =
+      std::locale::global(std::locale(std::locale::classic(), new CommaDecimal));
+  const std::string half = fmt_double(0.5);
+  const std::string grid = fmt_double(8.4);
+  std::locale::global(previous);
+  EXPECT_EQ(half, "0.5");
+  EXPECT_EQ(grid, "8.4");
 }
 
 TEST(SinkTest, JsonEscape) {

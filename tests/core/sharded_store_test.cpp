@@ -167,6 +167,71 @@ TEST(ShardedServingTest, ShardRestrictionsPartitionTheHistory) {
   EXPECT_EQ(total, result.record.ops.size());
 }
 
+/// Field-by-field record equality (OpRecord has no operator==).
+void expect_same_record(const sim::OpRecord& a, const sim::OpRecord& b) {
+  EXPECT_EQ(a.proc, b.proc);
+  EXPECT_EQ(a.op, b.op);
+  EXPECT_EQ(a.arg, b.arg);
+  EXPECT_EQ(a.ret, b.ret);
+  EXPECT_EQ(a.invoke_real, b.invoke_real);
+  EXPECT_EQ(a.response_real, b.response_real);
+  EXPECT_EQ(a.uid, b.uid);
+  EXPECT_EQ(a.op_id, b.op_id);
+}
+
+TEST(ShardedServingTest, KeyProjectionsPartitionTheStrippedHistory) {
+  // 12 keys under 48 ops: every key sees several operations.
+  adt::RegisterType reg;
+  ShardedStore store(reg, 12, 4);
+  const auto result = run_serving(store, 4, 12, 11);
+  const std::vector<sim::OpRecord> before = result.record.ops;
+
+  // The expected union: the store history, in order, with each arg
+  // stripped to its inner value.
+  std::vector<sim::OpRecord> stripped = result.record.ops;
+  std::vector<std::int64_t> key_of;
+  for (auto& op : stripped) {
+    const auto ka = store.split(op.arg);
+    key_of.push_back(ka.key);
+    const adt::Value inner = *ka.inner;
+    op.arg = inner;
+  }
+
+  // Each projection is the subsequence of its key's records.
+  std::size_t total = 0;
+  for (std::int64_t key = 0; key < store.num_keys(); ++key) {
+    const auto part = restrict_to_key(result.record.ops, store, key);
+    std::size_t next = 0;
+    for (std::size_t i = 0; i < stripped.size(); ++i) {
+      if (key_of[i] != key) continue;
+      ASSERT_LT(next, part.size()) << "key " << key;
+      expect_same_record(part[next++], stripped[i]);
+    }
+    EXPECT_EQ(next, part.size()) << "key " << key;
+    total += part.size();
+  }
+  EXPECT_EQ(total, stripped.size());
+
+  // The input is left as it was.
+  ASSERT_EQ(result.record.ops.size(), before.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    expect_same_record(result.record.ops[i], before[i]);
+  }
+}
+
+TEST(ShardedServingTest, KeyProjectionRejectsMalformedArgument) {
+  adt::RegisterType reg;
+  ShardedStore store(reg, 12, 4);
+  std::vector<sim::OpRecord> ops(2);
+  ops[0].op = "write";
+  ops[0].arg = ShardedStore::keyed(3, Value{1});
+  ops[1].op = "write";
+  ops[1].arg = Value{1};  // no [key, inner] envelope
+  EXPECT_THROW(static_cast<void>(restrict_to_key(ops, store, 3)), std::invalid_argument);
+  ops[1].arg = ShardedStore::keyed(12, Value{1});  // key outside the keyspace
+  EXPECT_THROW(static_cast<void>(restrict_to_key(ops, store, 5)), std::invalid_argument);
+}
+
 TEST(ShardedServingTest, LocalityAtTenThousandKeys) {
   // The locality property at shard scale (Section 2.3): the COMBINED keyed
   // history of a >= 10^4-key store is linearizable w.r.t. the store, and

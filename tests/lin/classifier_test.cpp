@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "adt/counter_type.hpp"
 #include "adt/deque_type.hpp"
 #include "adt/max_register_type.hpp"
@@ -177,6 +181,91 @@ TEST(ClassifierTest, ZeroGapWithinProcessFallsBack) {
       op(0, "enqueue", 2, Value::nil(), 1, 2),
   };
   EXPECT_FALSE(classify(q, h).eligible);
+}
+
+// --- the per-process order check, independent of record order -----------
+
+constexpr const char* kGapReason = "zero-gap or overlapping intervals within one process";
+
+/// Numbers the records' uids in their current order.
+std::vector<OpRecord> with_uids(std::vector<OpRecord> h) {
+  for (std::size_t i = 0; i < h.size(); ++i) h[i].uid = i + 1;
+  return h;
+}
+
+TEST(ClassifierTest, RecordOrderDoesNotMatter) {
+  adt::QueueType q;
+  // Three processes, strictly gapped within each, interleaved across them.
+  const auto eligible = with_uids({
+      op(0, "enqueue", 1, Value::nil(), 0, 1),
+      op(1, "enqueue", 2, Value::nil(), 0.5, 1.5),
+      op(2, "dequeue", Value::nil(), 1, 2, 3),
+      op(0, "enqueue", 3, Value::nil(), 1.25, 2),
+      op(1, "dequeue", Value::nil(), 2, 1.75, 4),
+      op(0, "dequeue", Value::nil(), 3, 2.5, 5),
+  });
+  // The same, but process 0's last two operations overlap.
+  auto overlapping = eligible;
+  overlapping[5].invoke_real = 1.5;
+
+  std::vector<std::size_t> perm(eligible.size());
+  for (std::size_t i = 0; i < perm.size(); ++i) perm[i] = i;
+  int permutations = 0;
+  do {
+    std::vector<OpRecord> a;
+    std::vector<OpRecord> b;
+    for (const std::size_t i : perm) {
+      a.push_back(eligible[i]);
+      b.push_back(overlapping[i]);
+    }
+    const auto ca = classify(q, a);
+    EXPECT_TRUE(ca.eligible);
+    EXPECT_EQ(ca.reason, "");
+    const auto cb = classify(q, b);
+    EXPECT_FALSE(cb.eligible);
+    EXPECT_EQ(cb.reason, kGapReason);
+    ++permutations;
+  } while (std::next_permutation(perm.begin(), perm.end()));
+  EXPECT_EQ(permutations, 720);
+}
+
+TEST(ClassifierTest, EqualInvokeTimesOnOneProcessFallBack) {
+  adt::QueueType q;
+  // Two operations of process 0 start at the same instant; the uid decides
+  // which comes first, and either way the second starts before the first
+  // responds.  The zero-length one is complete (response == invoke).
+  for (const bool zero_length_first : {true, false}) {
+    std::vector<OpRecord> h = {
+        op(0, "enqueue", 1, Value::nil(), 1, 1),
+        op(0, "enqueue", 2, Value::nil(), 1, 3),
+        op(1, "dequeue", Value::nil(), 1, 0, 4),
+    };
+    h[0].uid = zero_length_first ? 1 : 2;
+    h[1].uid = zero_length_first ? 2 : 1;
+    for (int rotation = 0; rotation < 3; ++rotation) {
+      const auto c = classify(q, h);
+      EXPECT_FALSE(c.eligible);
+      EXPECT_EQ(c.reason, kGapReason);
+      std::rotate(h.begin(), h.begin() + 1, h.end());
+    }
+  }
+}
+
+TEST(ClassifierTest, ZeroGapIsTheBoundary) {
+  adt::QueueType q;
+  // next.invoke == prev.response falls back; one ulp later is eligible.
+  const auto touching = with_uids({
+      op(0, "enqueue", 2, Value::nil(), 1, 2),
+      op(0, "enqueue", 1, Value::nil(), 0, 1),
+  });
+  auto gapped = touching;
+  gapped[0].invoke_real = std::nextafter(1.0, 2.0);
+  const auto ct = classify(q, touching);
+  EXPECT_FALSE(ct.eligible);
+  EXPECT_EQ(ct.reason, kGapReason);
+  const auto cg = classify(q, gapped);
+  EXPECT_TRUE(cg.eligible);
+  EXPECT_EQ(cg.reason, "");
 }
 
 TEST(ClassifierTest, DuplicateEnqueueFallsBack) {

@@ -51,14 +51,25 @@ ScenarioCampaign load(const std::string& name, const std::vector<AxisOverride>& 
                 ov);
 }
 
-/// Runs the named scenario and returns the JSON artifact, exactly as
-/// `campaign_runner --json` writes it.
-std::string run_to_json(const std::string& name, const std::vector<AxisOverride>& ov = {}) {
+/// The JSON and CSV artifacts of one scenario run, exactly as
+/// `campaign_runner --json/--csv` write them.
+struct Artifacts {
+  std::string json;
+  std::string csv;
+};
+
+Artifacts run_scenario(const std::string& name, const std::vector<AxisOverride>& ov = {}) {
   const auto campaign = load(name, ov);
   const auto result = campaign::run_campaign(campaign.spec);
-  std::ostringstream os;
-  campaign::write_json(os, result);
-  return os.str();
+  std::ostringstream json;
+  campaign::write_json(json, result);
+  std::ostringstream csv;
+  campaign::write_csv(csv, result);
+  return {json.str(), csv.str()};
+}
+
+std::string golden(const std::string& file) {
+  return read_file(std::string(LINTIME_SCENARIO_GOLDEN_DIR) + "/" + file);
 }
 
 TEST(ScenarioGoldenTest, CorpusDigestsMatchCheckedInFile) {
@@ -83,28 +94,29 @@ TEST(ScenarioGoldenTest, CorpusDigestsMatchCheckedInFile) {
 
 // The five historical grids, byte-identical to the seed-commit artifacts.
 TEST(ScenarioGoldenTest, RobustnessGridByteIdentical) {
-  EXPECT_EQ(run_to_json("robustness"),
-            read_file(std::string(LINTIME_SCENARIO_GOLDEN_DIR) + "/robustness.json"));
+  EXPECT_EQ(run_scenario("robustness").json, golden("robustness.json"));
 }
 
+// The tradeoff and serving grids pin their CSV too, so write_csv is held
+// byte-identical as well.
 TEST(ScenarioGoldenTest, TradeoffGridByteIdentical) {
-  EXPECT_EQ(run_to_json("tradeoff"),
-            read_file(std::string(LINTIME_SCENARIO_GOLDEN_DIR) + "/tradeoff.json"));
+  const Artifacts out = run_scenario("tradeoff");
+  EXPECT_EQ(out.json, golden("tradeoff.json"));
+  EXPECT_EQ(out.csv, golden("tradeoff.csv"));
 }
 
 TEST(ScenarioGoldenTest, LatencyGridByteIdentical) {
-  EXPECT_EQ(run_to_json("latency"),
-            read_file(std::string(LINTIME_SCENARIO_GOLDEN_DIR) + "/latency.json"));
+  EXPECT_EQ(run_scenario("latency").json, golden("latency.json"));
 }
 
 TEST(ScenarioGoldenTest, Table2BenchByteIdentical) {
-  EXPECT_EQ(run_to_json("table2_queues"),
-            read_file(std::string(LINTIME_SCENARIO_GOLDEN_DIR) + "/table2_queues.json"));
+  EXPECT_EQ(run_scenario("table2_queues").json, golden("table2_queues.json"));
 }
 
 TEST(ScenarioGoldenTest, ServingGridByteIdenticalAt100k) {
-  EXPECT_EQ(run_to_json("serving", {{"ops", {"100000"}}}),
-            read_file(std::string(LINTIME_SCENARIO_GOLDEN_DIR) + "/serving_100k.json"));
+  const Artifacts out = run_scenario("serving", {{"ops", {"100000"}}});
+  EXPECT_EQ(out.json, golden("serving_100k.json"));
+  EXPECT_EQ(out.csv, golden("serving_100k.csv"));
 }
 
 /// Expands `name` twice with a 60-value seed axis (other axes pinned by

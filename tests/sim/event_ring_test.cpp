@@ -296,17 +296,21 @@ TEST(SchedulerEquivalenceTest, BroadcastTieStormByteIdentical) {
 
 TEST(SchedulerEquivalenceTest, TimersBeforeDeliveriesBothWays) {
   // The tie-rank ablation flips which kind wins equal-time ties; records
-  // must match their pins under BOTH settings.
+  // must match their pins under BOTH settings.  Uniform random delays never
+  // produce an exact delivery/timer tie, so seeds 11, 22 and 33 pin the same
+  // records under both settings; "seed" 0 is the Lemma 5 boundary schedule
+  // of tests/core/ablation_test.cpp, whose records must differ.
   adt::QueueType queue;
   const auto params = [] {
     ModelParams p{3, 10.0, 2.0, 0.0};
     p.eps = p.optimal_eps();
     return p;
   }();
+  std::string boundary_digest[2][2];  // [timers_first][detail]
   for (const bool timers_first : {false, true}) {
     const std::string suite = timers_first ? "timers_first" : "deliveries_first";
-    for (const std::uint64_t seed : {11u, 22u, 33u}) {
-      for (const auto detail : {RecordDetail::kFull, RecordDetail::kOpsOnly}) {
+    for (const auto detail : {RecordDetail::kFull, RecordDetail::kOpsOnly}) {
+      for (const std::uint64_t seed : {11u, 22u, 33u}) {
         WorldConfig config;
         config.type = nullptr;
         config.params = params;
@@ -326,8 +330,29 @@ TEST(SchedulerEquivalenceTest, TimersBeforeDeliveriesBothWays) {
         world.run();
         ring_pins().expect(suite, seed, detail, world.record());
       }
+
+      // Dyadic constants make the tie exact: p0's announcement reaches p1
+      // at 61.5, the instant p1's own execute timer fires.
+      WorldConfig config;
+      config.params = ModelParams{3, 10.0, 2.0, 1.5};
+      config.clock_offsets = {-1.5, 0.0, 0.0};
+      config.timers_before_deliveries = timers_first;
+      config.record_detail = detail;
+      World world(config, [&](ProcId) {
+        return std::make_unique<core::AlgorithmOneProcess>(
+            queue, core::TimingPolicy::standard(config.params, 0.0));
+      });
+      world.invoke_at(0.0, 2, "enqueue", adt::Value{7});
+      world.invoke_at(50.0, 1, "dequeue", adt::Value::nil());
+      world.invoke_at(51.5, 0, "dequeue", adt::Value::nil());
+      world.run();
+      ring_pins().expect(suite, 0, detail, world.record());
+      boundary_digest[timers_first ? 1 : 0][detail == RecordDetail::kFull ? 0 : 1] =
+          pins::record_digest(world.record());
     }
   }
+  EXPECT_NE(boundary_digest[0][0], boundary_digest[1][0]);
+  EXPECT_NE(boundary_digest[0][1], boundary_digest[1][1]);
 }
 
 TEST(SchedulerEquivalenceTest, OpsOnlyRecordingKeepsOpsIdentical) {
