@@ -153,8 +153,6 @@ void BM_ConstructionValidator(benchmark::State& state) {
     replicas.push_back(p.get());
     return p;
   });
-  // Intern once, dispatch by id: scheduling loops stay off the deprecated
-  // per-call string lookup.
   const auto enq = queue.op_id("enqueue");
   const auto deq = queue.op_id("dequeue");
   for (int i = 0; i < 4; ++i) {

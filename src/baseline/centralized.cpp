@@ -11,8 +11,7 @@ CentralizedProcess::CentralizedProcess(const adt::DataType& type, sim::ProcId se
   if (self_ == kCoordinator) state_ = type_.initial_state();
 }
 
-void CentralizedProcess::on_invoke(sim::Context& ctx, const std::string& op, const Value& arg) {
-  const adt::OpId id = type_.op_id(op);
+void CentralizedProcess::on_invoke(sim::Context& ctx, adt::OpId id, const Value& arg) {
   if (self_ == kCoordinator) {
     // Local invocation: apply directly; the coordinator's copy is the truth.
     ctx.respond(state_->apply(id, arg));

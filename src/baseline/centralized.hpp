@@ -28,7 +28,7 @@ class CentralizedProcess final : public sim::Process {
 
   explicit CentralizedProcess(const adt::DataType& type, sim::ProcId self);
 
-  void on_invoke(sim::Context& ctx, const std::string& op, const adt::Value& arg) override;
+  void on_invoke(sim::Context& ctx, adt::OpId id, const adt::Value& arg) override;
   void on_message(sim::Context& ctx, sim::ProcId src, const sim::Payload& payload) override;
   void on_timer(sim::Context& ctx, sim::TimerId id, const sim::Payload& data) override;
 

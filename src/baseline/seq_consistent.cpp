@@ -36,9 +36,7 @@ SeqConsistentProcess::SeqConsistentProcess(const adt::DataType& type,
       execute_delay_(params.u + params.eps),
       state_(type.initial_state()) {}
 
-void SeqConsistentProcess::on_invoke(sim::Context& ctx, const std::string& op,
-                                     const Value& arg) {
-  const adt::OpId id = type_.op_id(op);
+void SeqConsistentProcess::on_invoke(sim::Context& ctx, adt::OpId id, const Value& arg) {
   const OpCategory cat = type_.category(id);
 
   if (cat == OpCategory::kPureAccessor) {

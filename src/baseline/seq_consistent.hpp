@@ -38,7 +38,7 @@ class SeqConsistentProcess final : public sim::Process {
  public:
   SeqConsistentProcess(const adt::DataType& type, const sim::ModelParams& params);
 
-  void on_invoke(sim::Context& ctx, const std::string& op, const adt::Value& arg) override;
+  void on_invoke(sim::Context& ctx, adt::OpId id, const adt::Value& arg) override;
   void on_message(sim::Context& ctx, sim::ProcId src, const sim::Payload& payload) override;
   void on_timer(sim::Context& ctx, sim::TimerId id, const sim::Payload& data) override;
 

@@ -7,8 +7,7 @@ namespace lintime::baseline {
 ZeroWaitProcess::ZeroWaitProcess(const adt::DataType& type)
     : type_(type), state_(type.initial_state()) {}
 
-void ZeroWaitProcess::on_invoke(sim::Context& ctx, const std::string& op, const adt::Value& arg) {
-  const adt::OpId id = type_.op_id(op);
+void ZeroWaitProcess::on_invoke(sim::Context& ctx, adt::OpId id, const adt::Value& arg) {
   if (type_.spec(id).is_mutator()) {
     sim::Payload announce;
     announce.op_id = id;

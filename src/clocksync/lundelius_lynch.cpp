@@ -4,12 +4,27 @@
 #include <limits>
 #include <stdexcept>
 
+#include "adt/data_type.hpp"
 #include "sim/process.hpp"
 #include "sim/world.hpp"
 
 namespace lintime::clocksync {
 
 namespace {
+
+/// The sync round invokes no operations, but a World needs a data type to
+/// issue OpIds: this one declares none.
+class NoOperations final : public adt::DataType {
+ public:
+  [[nodiscard]] std::string name() const override { return "clock-sync"; }
+  [[nodiscard]] const std::vector<adt::OpSpec>& ops() const override { return ops_; }
+  [[nodiscard]] std::unique_ptr<adt::ObjectState> make_initial_state() const override {
+    throw std::logic_error("clock sync has no object state");
+  }
+
+ private:
+  std::vector<adt::OpSpec> ops_;
+};
 
 class SyncProcess final : public sim::Process {
  public:
@@ -22,7 +37,7 @@ class SyncProcess final : public sim::Process {
     ctx.broadcast(std::move(reading));
   }
 
-  void on_invoke(sim::Context&, const std::string&, const adt::Value&) override {
+  void on_invoke(sim::Context&, adt::OpId, const adt::Value&) override {
     throw std::logic_error("clock sync handles no operations");
   }
 
@@ -63,7 +78,9 @@ SyncOutcome synchronize(const sim::ModelParams& params,
   SyncOutcome outcome;
   outcome.adjustments.assign(hardware_offsets.size(), 0.0);
 
+  const NoOperations no_operations;
   sim::WorldConfig config;
+  config.type = &no_operations;
   config.params = params;
   // The sync round runs before any skew bound holds; hardware offsets are
   // arbitrary.

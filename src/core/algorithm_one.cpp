@@ -33,15 +33,7 @@ constexpr std::uint32_t kAnnounceTag = 0;
 AlgorithmOneProcess::AlgorithmOneProcess(const adt::DataType& type, TimingPolicy timing)
     : type_(type), timing_(timing), state_(type.initial_state()) {}
 
-void AlgorithmOneProcess::on_invoke(sim::Context& ctx, const std::string& op, const Value& arg) {
-  // Resolve the name once at the invoker; the interned id then flows through
-  // every timer, announcement and queue entry (throws on unknown names, as
-  // the category lookup did before).
-  on_invoke_id(ctx, type_.op_id(op), op, arg);
-}
-
-void AlgorithmOneProcess::on_invoke_id(sim::Context& ctx, adt::OpId id, const std::string& /*op*/,
-                                       const Value& arg) {
+void AlgorithmOneProcess::on_invoke(sim::Context& ctx, adt::OpId id, const Value& arg) {
   const OpCategory cat = type_.category(id);
   const sim::PayloadVal val = sim::PayloadVal::from_value(arg);
 

@@ -170,11 +170,10 @@ CompositeProcess::CompositeProcess(const ProductType& product, const TimingPolic
   }
 }
 
-void CompositeProcess::on_invoke(sim::Context& ctx, const std::string& op,
-                                 const adt::Value& arg) {
-  const auto q = parse_qualified(op);
-  SubContext sub(ctx, q.object);
-  instances_.at(q.object)->on_invoke(sub, q.op, arg);
+void CompositeProcess::on_invoke(sim::Context& ctx, adt::OpId id, const adt::Value& arg) {
+  const auto& sub_op = product_.sub_op(id);
+  SubContext sub(ctx, sub_op.object);
+  instances_[sub_op.object]->on_invoke(sub, sub_op.op, arg);
 }
 
 void CompositeProcess::on_message(sim::Context& ctx, sim::ProcId src,
@@ -197,12 +196,13 @@ void CompositeProcess::on_timer(sim::Context& ctx, sim::TimerId id, const sim::P
 std::vector<sim::OpRecord> restrict_to_object(const std::vector<sim::OpRecord>& ops,
                                               std::size_t object) {
   std::vector<sim::OpRecord> out;
-  for (auto op : ops) {
-    const auto q = parse_qualified(op.op);
+  for (const auto& op : ops) {
+    auto q = parse_qualified(op.op);
     if (q.object != object) continue;
-    op.op = q.op;
-    op.op_id = adt::OpId{};  // product-level id; invalid against the component type
-    out.push_back(std::move(op));
+    // Only kept records are copied; the product-level id is invalid against
+    // the component type, so the projection drops it.
+    out.push_back(sim::OpRecord{op.proc, std::move(q.op), op.arg, op.ret, op.invoke_real,
+                                op.response_real, op.uid, adt::OpId{}});
   }
   return out;
 }

@@ -68,7 +68,9 @@ class ProductType final : public adt::DataType {
 };
 
 /// One simulated process hosting an independent Algorithm 1 instance per
-/// object.  Invocations use qualified names; each sub-instance's messages
+/// object.  The World's type must be the ProductType: an invocation's
+/// product-level OpId routes through ProductType::sub_op to the component
+/// instance and its own OpId.  Each sub-instance's messages
 /// and timers carry its object index in Payload::chan (stamped outbound,
 /// stripped inbound), so the instances never interfere (their timestamps and
 /// To_Execute queues are disjoint).
@@ -76,7 +78,7 @@ class CompositeProcess final : public sim::Process {
  public:
   CompositeProcess(const ProductType& product, const TimingPolicy& timing);
 
-  void on_invoke(sim::Context& ctx, const std::string& op, const adt::Value& arg) override;
+  void on_invoke(sim::Context& ctx, adt::OpId id, const adt::Value& arg) override;
   void on_message(sim::Context& ctx, sim::ProcId src, const sim::Payload& payload) override;
   void on_timer(sim::Context& ctx, sim::TimerId id, const sim::Payload& data) override;
 

@@ -367,17 +367,11 @@ ShardedServingProcess::ShardedServingProcess(const ShardedStore& store, const Ti
   }
 }
 
-void ShardedServingProcess::on_invoke(sim::Context& ctx, const std::string& op,
-                                      const adt::Value& arg) {
-  on_invoke_id(ctx, store_.op_id(op), op, arg);
-}
-
-void ShardedServingProcess::on_invoke_id(sim::Context& ctx, adt::OpId id, const std::string& op,
-                                         const adt::Value& arg) {
+void ShardedServingProcess::on_invoke(sim::Context& ctx, adt::OpId id, const adt::Value& arg) {
   const auto ka = store_.split(arg);
   const int shard = store_.shard_of(ka.key);
   ShardContext sub(ctx, shard);
-  instances_[static_cast<std::size_t>(shard)]->on_invoke_id(sub, id, op, arg);
+  instances_[static_cast<std::size_t>(shard)]->on_invoke(sub, id, arg);
 }
 
 void ShardedServingProcess::on_message(sim::Context& ctx, sim::ProcId src,

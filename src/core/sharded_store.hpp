@@ -102,9 +102,7 @@ class ShardedServingProcess final : public sim::Process {
  public:
   ShardedServingProcess(const ShardedStore& store, const TimingPolicy& timing);
 
-  void on_invoke(sim::Context& ctx, const std::string& op, const adt::Value& arg) override;
-  void on_invoke_id(sim::Context& ctx, adt::OpId id, const std::string& op,
-                    const adt::Value& arg) override;
+  void on_invoke(sim::Context& ctx, adt::OpId id, const adt::Value& arg) override;
   void on_message(sim::Context& ctx, sim::ProcId src, const sim::Payload& payload) override;
   void on_timer(sim::Context& ctx, sim::TimerId id, const sim::Payload& data) override;
 

@@ -17,9 +17,8 @@ namespace lintime::harness {
 namespace {
 
 /// Closed-loop driver state shared by the response hook.  Operation names
-/// are resolved to interned ids ONCE up front; every subsequent invocation
-/// goes through the id overload of invoke_at, so a million-op serving script
-/// performs a million hash-map lookups fewer than the string path would.
+/// are resolved to interned ids ONCE up front (throwing on a name the type
+/// does not know), so the response hook schedules by id alone.
 struct ScriptDriver {
   std::vector<std::vector<ScriptOp>> scripts;
   std::vector<std::vector<adt::OpId>> ids;  ///< parallel to scripts
@@ -190,16 +189,10 @@ RunResult execute(const adt::DataType& type, const RunSpec& spec) {
 
   sim::World world(config, factory);
 
+  // The RunSpec edge: each call's name resolves here, before any event
+  // runs; op_id throws std::invalid_argument naming an unknown op.
   for (const auto& call : *calls) {
-    // Intern once per call here rather than per call inside the World; names
-    // the type doesn't know stay on the string overload (the process's
-    // on_invoke decides what they mean).
-    const adt::OpId id = type.find_op(call.op);
-    if (id.valid()) {
-      world.invoke_at(call.when, call.proc, id, call.arg);
-    } else {
-      world.invoke_at(call.when, call.proc, call.op, call.arg);
-    }
+    world.invoke_at(call.when, call.proc, type.op_id(call.op), call.arg);
   }
 
   ScriptDriver driver;

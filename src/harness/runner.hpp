@@ -91,9 +91,9 @@ struct RunSpec {
   sim::RecordDetail record_detail = sim::RecordDetail::kFull;
   std::uint64_t max_events = 10'000'000;
 
-  /// Open-loop invocations, resolved to interned adt::OpId once at
-  /// submission; names the type does not know go through the string
-  /// overload of World::invoke_at.
+  /// Open-loop invocations.  execute() resolves each name to its interned
+  /// adt::OpId before the run starts and throws std::invalid_argument
+  /// naming any operation the type does not know (as it does for scripts).
   std::vector<Call> calls;
 
   /// Closed-loop scripts: scripts[p] is invoked back-to-back at process p,

@@ -49,6 +49,7 @@ sim::RunRecord run_algorithm_one(const adt::DataType& type, const ModelParams& p
                                  const std::vector<TimedCall>& calls,
                                  const std::vector<TimedScript>& scripts) {
   sim::WorldConfig config;
+  config.type = &type;
   config.params = params;
   config.clock_offsets = std::move(offsets);
   config.delays = std::move(delays);
@@ -59,9 +60,11 @@ sim::RunRecord run_algorithm_one(const adt::DataType& type, const ModelParams& p
 
   // Closed-loop cursors per process.  Several scripts may target the same
   // process (e.g. a prefix rho and a late probe); they are chained in start
-  // order, each entry carrying the earliest real time it may be invoked at.
+  // order, each entry carrying its resolved id and the earliest real time it
+  // may be invoked at.
   struct Entry {
     ScriptOp op;
+    adt::OpId id;
     sim::Time not_before;
   };
   struct Cursor {
@@ -79,7 +82,9 @@ sim::RunRecord run_algorithm_one(const adt::DataType& type, const ModelParams& p
               [](const TimedScript& a, const TimedScript& b) { return a.start < b.start; });
     for (const auto& script : sorted) {
       auto& cursor = cursors[static_cast<std::size_t>(script.proc)];
-      for (const auto& op : script.ops) cursor.remaining.push_back(Entry{op, script.start});
+      for (const auto& op : script.ops) {
+        cursor.remaining.push_back(Entry{op, type.op_id(op.op), script.start});
+      }
     }
   }
   world.set_response_hook([&cursors](sim::World& w, const sim::OpRecord& op) {
@@ -92,7 +97,7 @@ sim::RunRecord run_algorithm_one(const adt::DataType& type, const ModelParams& p
       Entry next = cursor.remaining.front();
       cursor.remaining.pop_front();
       cursor.in_flight = next.op;
-      w.invoke_at(std::max(w.now(), next.not_before), op.proc, next.op.op, next.op.arg);
+      w.invoke_at(std::max(w.now(), next.not_before), op.proc, next.id, next.op.arg);
     }
   });
   for (auto& cursor : cursors) {
@@ -101,11 +106,11 @@ sim::RunRecord run_algorithm_one(const adt::DataType& type, const ModelParams& p
     Entry first = cursor.remaining.front();
     cursor.remaining.pop_front();
     cursor.in_flight = first.op;
-    world.invoke_at(first.not_before, proc, first.op.op, first.op.arg);
+    world.invoke_at(first.not_before, proc, first.id, first.op.arg);
   }
 
   for (const auto& call : calls) {
-    world.invoke_at(call.when, call.proc, call.op, call.arg);
+    world.invoke_at(call.when, call.proc, type.op_id(call.op), call.arg);
   }
 
   world.run();

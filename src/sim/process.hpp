@@ -5,7 +5,6 @@
 // observe its *local* clock (never real time).
 
 #include <cstdint>
-#include <string>
 
 #include "adt/op.hpp"
 #include "adt/value.hpp"
@@ -68,19 +67,11 @@ class Process {
   /// Called once before any event, at local time = offset.
   virtual void on_start(Context& /*ctx*/) {}
 
-  /// The user invoked (op, arg) at this process.
-  virtual void on_invoke(Context& ctx, const std::string& op, const adt::Value& arg) = 0;
-
-  /// Interned-dispatch variant: when the World knows the invocation's
-  /// adt::OpId (WorldConfig::type set and the name resolved), it calls this
-  /// instead.  The default forwards to on_invoke, so string-only processes
-  /// are unaffected; hot-path algorithms override it to skip the per-invoke
-  /// name lookup.
-  virtual void on_invoke_id(Context& ctx, adt::OpId id, const std::string& op,
-                            const adt::Value& arg) {
-    (void)id;
-    on_invoke(ctx, op, arg);
-  }
+  /// The user invoked operation `op` of the run's data type
+  /// (sim::WorldConfig::type) with argument `arg` at this process.  The id
+  /// was resolved from its name once, where the workload entered the
+  /// simulator; processes never see operation names.
+  virtual void on_invoke(Context& ctx, adt::OpId op, const adt::Value& arg) = 0;
 
   /// A message from `src` arrived.
   virtual void on_message(Context& ctx, ProcId src, const Payload& payload) = 0;

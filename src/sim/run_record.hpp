@@ -72,10 +72,12 @@ struct OpRecord {
   Time response_real = -1;  ///< -1 until the response is emitted
   std::uint64_t uid = 0;    ///< unique per run, stable across shifting
 
-  /// Interned id of `op` against the run's data type, stamped by the World
-  /// when WorldConfig::type is set; invalid otherwise (records loaded from
-  /// traces, or restricted composite histories whose names were rewritten).
-  /// `op` remains authoritative -- the checkers re-resolve names themselves.
+  /// Interned id of `op` against the run's data type.  Always valid in
+  /// records the World produces (every invocation enters as an id); invalid
+  /// only in records loaded from traces (trace_io does not serialize it) or
+  /// projected from a composite history (core::restrict_to_object rewrites
+  /// the names).  `op` remains authoritative -- the checkers re-resolve
+  /// names themselves.
   adt::OpId op_id;
 
   [[nodiscard]] bool complete() const { return response_real >= invoke_real; }

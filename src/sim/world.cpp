@@ -188,6 +188,9 @@ class World::ContextImpl final : public Context {
 };
 
 World::World(WorldConfig config, const ProcessFactory& factory) : config_(std::move(config)) {
+  if (config_.type == nullptr) {
+    throw std::invalid_argument("WorldConfig: type must be set (it issues the run's OpIds)");
+  }
   config_.params.validate();
   const auto n = static_cast<std::size_t>(config_.params.n);
   if (config_.clock_offsets.empty()) config_.clock_offsets.assign(n, 0.0);
@@ -302,30 +305,14 @@ void World::push_ring(EventKind kind, Time when, ProcId proc, std::uint64_t id,
   ring_.push(ev);
 }
 
-void World::invoke_at(Time when, ProcId proc, std::string op, adt::Value arg) {
-  // Resolve the operation name to its interned id once, off the dispatch
-  // path; unknown names stay invalid (the process's on_invoke decides).
-  const adt::OpId op_id = config_.type != nullptr ? config_.type->find_op(op) : adt::OpId{};
-  schedule_invoke(when, proc, std::move(op), op_id, std::move(arg));
-}
-
 void World::invoke_at(Time when, ProcId proc, adt::OpId op, adt::Value arg) {
-  if (config_.type == nullptr) {
-    throw std::logic_error("invoke_at(OpId): WorldConfig::type is not set");
-  }
-  // spec() throws std::out_of_range on an invalid or foreign id; the name is
-  // still threaded through for the trace (OpRecord::op, StepRecord::op).
-  schedule_invoke(when, proc, config_.type->spec(op).name, op, std::move(arg));
-}
-
-void World::schedule_invoke(Time when, ProcId proc, std::string op, adt::OpId op_id,
-                            adt::Value arg) {
+  (void)config_.type->spec(op);  // throws std::out_of_range on an invalid or foreign id
   if (proc < 0 || proc >= config_.params.n) {
     throw std::invalid_argument("invoke_at: bad process id");
   }
   if (when < now_) throw std::invalid_argument("invoke_at: time in the past");
   const std::uint64_t id = next_invoke_id_++;
-  pending_invokes_.insert(id, PendingInvoke{std::move(op), std::move(arg), op_id});
+  pending_invokes_.insert(id, PendingInvoke{std::move(arg), op});
   push_ring(EventKind::kInvoke, snap(when), proc, id, 0);
 }
 
@@ -405,19 +392,22 @@ void World::dispatch_impl(EventKind kind, ProcId proc, std::uint64_t id,
       auto inv = pending_invokes_.take(id);
       if (!inv) break;  // should not happen
 
+      // The one place an operation name is materialized: copied into the
+      // trace from the type's table (invoke_at already validated the id).
+      const std::string& name = config_.type->spec(inv->op).name;
       if constexpr (kFull) {
         step.trigger = Trigger::kInvoke;
-        step.op = inv->op;
+        step.op = name;
         step.arg = inv->arg;
       }
 
       OpRecord op;
       op.proc = proc;
-      op.op = std::move(inv->op);
+      op.op = name;
       op.arg = std::move(inv->arg);
       op.invoke_real = now_;
       op.uid = next_op_uid_++;
-      op.op_id = inv->op_id;
+      op.op_id = inv->op;
       pending_op_[pi] = static_cast<std::int64_t>(record_.ops.size());
       record_.ops.push_back(std::move(op));
 
@@ -427,11 +417,7 @@ void World::dispatch_impl(EventKind kind, ProcId proc, std::uint64_t id,
       // event queue and existing records).
       const OpRecord& rec = record_.ops[static_cast<std::size_t>(pending_op_[pi])];
       ContextImpl ctx(*this, proc, step_ptr);
-      if (rec.op_id.valid()) {
-        processes_[pi]->on_invoke_id(ctx, rec.op_id, rec.op, rec.arg);
-      } else {
-        processes_[pi]->on_invoke(ctx, rec.op, rec.arg);
-      }
+      processes_[pi]->on_invoke(ctx, rec.op_id, rec.arg);
       break;
     }
     case EventKind::kDeliver: {

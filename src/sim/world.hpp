@@ -4,6 +4,12 @@
 // recorder.  One World = one run of the model of Section 2.2.  Events run
 // from one sim::EventRing in ascending (time, tie rank, FIFO) order; the
 // tie ranks encode the model's equal-time boundary rule (World::tie_rank_of).
+//
+// A run exercises one data type (WorldConfig::type, required), and
+// operations enter only as that type's interned adt::OpId: names are
+// resolved once at the edge (harness::execute, the shift constructions),
+// never inside the event loop.  The World copies the name into the trace
+// (OpRecord::op, StepRecord::op) once per invocation, at dispatch.
 
 #include <cstdint>
 #include <functional>
@@ -41,10 +47,10 @@ struct WorldConfig {
   ModelParams params;
   std::vector<Time> clock_offsets;  ///< size n; empty = all zero
 
-  /// Optional: the data type this run exercises.  When set (it must outlive
-  /// the World), invocations resolve their operation name to an interned
-  /// adt::OpId once at schedule time and every OpRecord carries it, so
-  /// downstream metrics can aggregate on integers instead of strings.
+  /// Required: the data type this run exercises (it must outlive the
+  /// World).  It issues the adt::OpIds invoke_at takes and names them in
+  /// the trace; every OpRecord carries its id, so downstream metrics can
+  /// aggregate on integers instead of strings.
   const adt::DataType* type = nullptr;
 
   /// EXTENSION (outside the paper's model, for the robustness bench): clock
@@ -87,21 +93,15 @@ class World {
   using ProcessFactory = std::function<std::unique_ptr<Process>(ProcId)>;
   using ResponseHook = std::function<void(World&, const OpRecord&)>;
 
+  /// Throws std::invalid_argument on an invalid config, including a null
+  /// WorldConfig::type.
   World(WorldConfig config, const ProcessFactory& factory);
 
-  /// Schedules an operation invocation at `proc` at real time `when`.
-  /// Throws if this would overlap a still-pending invocation known at call
-  /// time (the model allows at most one pending instance per process); the
-  /// run loop re-checks at execution time.
-  ///
-  /// detlint-deprecated(hot-loop): the string overload resolves the name per
-  /// call; scheduling loops (bench/, harness) must intern once and use the
-  /// OpId overload below.  Kept for one-off calls and name-driven tests.
-  void invoke_at(Time when, ProcId proc, std::string op, adt::Value arg);
-
-  /// Interned-dispatch overload for hot scheduling loops: no per-call name
-  /// lookup.  Requires WorldConfig::type (the id's issuer); throws
-  /// std::out_of_range on an invalid or foreign id.
+  /// Schedules an invocation of `op` (an id issued by WorldConfig::type)
+  /// at `proc` at real time `when`.  Throws std::out_of_range on an invalid
+  /// or foreign id and std::invalid_argument on a bad process or a time in
+  /// the past.  The model allows at most one pending instance per process;
+  /// the run loop checks that when the invocation executes.
   void invoke_at(Time when, ProcId proc, adt::OpId op, adt::Value arg);
 
   /// Registers a hook called on every operation response; the hook may call
@@ -140,9 +140,8 @@ class World {
   };
 
   struct PendingInvoke {
-    std::string op;
     adt::Value arg;
-    adt::OpId op_id;  ///< resolved once at invoke_at when config_.type is set
+    adt::OpId op;
   };
 
   /// One stored payload per send OR broadcast; `remaining` deliveries
@@ -161,7 +160,6 @@ class World {
   class ContextImpl;
   friend class ContextImpl;
 
-  void schedule_invoke(Time when, ProcId proc, std::string op, adt::OpId op_id, adt::Value arg);
   void dispatch(EventKind kind, ProcId proc, std::uint64_t id, std::uint64_t payload_slot);
 
   /// The dispatch body, instantiated once per RecordDetail level.  kFull

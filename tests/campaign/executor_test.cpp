@@ -144,6 +144,24 @@ TEST(ExecutorTest, JobExceptionCapturedNotPropagated) {
   EXPECT_NE(to_json(result).find("\"ok\":false"), std::string::npos);
 }
 
+TEST(ExecutorTest, UnknownCallOpFailsTheJobWithItsName) {
+  adt::QueueType queue;
+  CampaignSpec spec;
+  spec.name = "failing-call";
+  Job bad;
+  bad.name = "unknown-call";
+  bad.type = &queue;
+  bad.spec.params = sim::ModelParams{2, 10.0, 2.0, 1.0};
+  bad.spec.calls = {harness::Call{0.0, 0, "frobnicate", Value::nil()}};
+  spec.jobs.push_back(std::move(bad));
+
+  const auto result = run_campaign(spec);
+  ASSERT_EQ(result.jobs.size(), 1u);
+  EXPECT_FALSE(result.jobs[0].ok);
+  EXPECT_NE(result.jobs[0].error.find("frobnicate"), std::string::npos) << result.jobs[0].error;
+  EXPECT_EQ(result.aggregate().jobs_failed, 1u);
+}
+
 TEST(ExecutorTest, SpecErrorsThrowBeforeAnyJobRuns) {
   adt::QueueType queue;
   const sim::ModelParams params{2, 10.0, 2.0, 1.0};

@@ -33,6 +33,7 @@ using adt::Value;
 sim::RunRecord run_boundary_schedule(bool timers_first) {
   adt::QueueType queue;
   sim::WorldConfig config;
+  config.type = &queue;
   config.params = sim::ModelParams{3, 10.0, 2.0, 1.5};
   config.clock_offsets = {-1.5, 0.0, 0.0};
   config.timers_before_deliveries = timers_first;
@@ -41,9 +42,9 @@ sim::RunRecord run_boundary_schedule(bool timers_first) {
     return std::make_unique<AlgorithmOneProcess>(queue,
                                                  TimingPolicy::standard(config.params, 0.0));
   });
-  world.invoke_at(0.0, 2, "enqueue", Value{7});  // seed the head
-  world.invoke_at(50.0, 1, "dequeue", Value::nil());
-  world.invoke_at(51.5, 0, "dequeue", Value::nil());
+  world.invoke_at(0.0, 2, queue.op_id("enqueue"), Value{7});  // seed the head
+  world.invoke_at(50.0, 1, queue.op_id("dequeue"), Value::nil());
+  world.invoke_at(51.5, 0, queue.op_id("dequeue"), Value::nil());
   world.run();
   return world.record();
 }
@@ -84,6 +85,7 @@ TEST(TieBreakAblation, TimersFirstDoubleDeliversTheHead) {
 sim::RunRecord run_backdate_schedule(double backdate) {
   adt::QueueType queue;
   sim::WorldConfig config;
+  config.type = &queue;
   config.params = sim::ModelParams{3, 10.0, 2.0, 1.5};
   config.delays = std::make_shared<sim::FunctionDelay>(
       [](sim::ProcId src, sim::ProcId, sim::Time, std::uint64_t) {
@@ -96,15 +98,17 @@ sim::RunRecord run_backdate_schedule(double backdate) {
   sim::World world(config, [&](sim::ProcId) {
     return std::make_unique<AlgorithmOneProcess>(queue, timing);
   });
+  const auto enq = queue.op_id("enqueue");
+  const auto deq = queue.op_id("dequeue");
   const double t = 50.0;
-  world.invoke_at(t - 1.0, 1, "enqueue", Value{1});  // ts 49, arrives p0 at 59
-  world.invoke_at(t - 0.5, 2, "enqueue", Value{2});  // ts 49.5, arrives p0 at 57.5
-  world.invoke_at(t, 0, "peek", Value::nil());       // drains at t + d - X = 58
+  world.invoke_at(t - 1.0, 1, enq, Value{1});  // ts 49, arrives p0 at 59
+  world.invoke_at(t - 0.5, 2, enq, Value{2});  // ts 49.5, arrives p0 at 57.5
+  world.invoke_at(t, 0, queue.op_id("peek"), Value::nil());  // drains at t + d - X = 58
   // Probe dequeues at two different replicas: without the back-date, p0's
   // replica diverges (it executed enqueue(2) before enqueue(1) through the
   // accessor's drain), and both dequeues return the same element.
-  world.invoke_at(90.0, 1, "dequeue", Value::nil());
-  world.invoke_at(92.0, 0, "dequeue", Value::nil());
+  world.invoke_at(90.0, 1, deq, Value::nil());
+  world.invoke_at(92.0, 0, deq, Value::nil());
   world.run();
   return world.record();
 }

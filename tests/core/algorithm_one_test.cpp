@@ -119,6 +119,7 @@ TEST(AlgorithmOneTest, ExecutedMutatorsInTimestampOrderLemma5) {
   // log under a bursty concurrent workload with random delays.
   adt::QueueType queue;
   sim::WorldConfig config;
+  config.type = &queue;
   config.params = params5();
   config.delays = std::make_shared<sim::UniformRandomDelay>(8.0, 10.0, 17);
 
@@ -130,8 +131,8 @@ TEST(AlgorithmOneTest, ExecutedMutatorsInTimestampOrderLemma5) {
     return p;
   });
   for (int i = 0; i < 5; ++i) {
-    world.invoke_at(0.0 + 0.3 * i, i, "enqueue", Value{i});
-    world.invoke_at(20.0 + 0.3 * i, i, "enqueue", Value{10 + i});
+    world.invoke_at(0.0 + 0.3 * i, i, queue.op_id("enqueue"), Value{i});
+    world.invoke_at(20.0 + 0.3 * i, i, queue.op_id("enqueue"), Value{10 + i});
   }
   world.run();
 

@@ -67,6 +67,7 @@ CompositeRun run_composite(const ProductType& product, const sim::ModelParams& p
                            const std::vector<harness::Call>& calls) {
   CompositeRun out;
   sim::WorldConfig config;
+  config.type = &product;
   config.params = params;
   config.delays = std::make_shared<sim::UniformRandomDelay>(params.min_delay(), params.d, 17);
   out.world = std::make_shared<sim::World>(config, [&](sim::ProcId) {
@@ -74,7 +75,7 @@ CompositeRun run_composite(const ProductType& product, const sim::ModelParams& p
                                               TimingPolicy::standard(params, 0.0));
   });
   for (const auto& call : calls) {
-    out.world->invoke_at(call.when, call.proc, call.op, call.arg);
+    out.world->invoke_at(call.when, call.proc, product.op_id(call.op), call.arg);
   }
   out.world->run();
   out.record = out.world->record();

@@ -35,6 +35,7 @@ RunWithReplicas run(const adt::DataType& type, const sim::ModelParams& params, d
                     std::vector<double> offsets = {}) {
   RunWithReplicas out;
   sim::WorldConfig config;
+  config.type = &type;
   config.params = params;
   config.delays = std::move(delays);
   config.clock_offsets = std::move(offsets);
@@ -45,7 +46,7 @@ RunWithReplicas run(const adt::DataType& type, const sim::ModelParams& params, d
     return p;
   });
   for (const auto& call : calls) {
-    out.world->invoke_at(call.when, call.proc, call.op, call.arg);
+    out.world->invoke_at(call.when, call.proc, type.op_id(call.op), call.arg);
   }
   out.world->run();
   out.record = out.world->record();

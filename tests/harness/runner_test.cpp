@@ -93,6 +93,23 @@ TEST(RunnerTest, ScriptSizeMismatchThrows) {
   EXPECT_THROW((void)harness::execute(queue, spec), std::invalid_argument);
 }
 
+TEST(RunnerTest, UnknownCallOpThrowsBeforeAnyEventRuns) {
+  // Open-loop names resolve at the RunSpec edge.  max_events = 0 makes the
+  // first executed event throw std::runtime_error, so getting the
+  // resolution error instead shows nothing ran.
+  adt::QueueType queue;
+  RunSpec spec;
+  spec.params = sim::ModelParams{2, 10.0, 2.0, 1.0};
+  spec.max_events = 0;
+  spec.calls = {Call{0.0, 0, "enqueue", Value{1}}, Call{5.0, 1, "frobnicate", Value::nil()}};
+  try {
+    (void)harness::execute(queue, spec);
+    FAIL() << "an unknown open-loop op was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("frobnicate"), std::string::npos) << e.what();
+  }
+}
+
 TEST(RunnerTest, RandomScriptsDeterministicPerSeed) {
   adt::QueueType queue;
   const auto a = random_scripts(queue, 3, 10, 42);

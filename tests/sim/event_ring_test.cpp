@@ -301,6 +301,8 @@ TEST(SchedulerEquivalenceTest, TimersBeforeDeliveriesBothWays) {
   // records under both settings; "seed" 0 is the Lemma 5 boundary schedule
   // of tests/core/ablation_test.cpp, whose records must differ.
   adt::QueueType queue;
+  const auto enq = queue.op_id("enqueue");
+  const auto deq = queue.op_id("dequeue");
   const auto params = [] {
     ModelParams p{3, 10.0, 2.0, 0.0};
     p.eps = p.optimal_eps();
@@ -312,7 +314,7 @@ TEST(SchedulerEquivalenceTest, TimersBeforeDeliveriesBothWays) {
     for (const auto detail : {RecordDetail::kFull, RecordDetail::kOpsOnly}) {
       for (const std::uint64_t seed : {11u, 22u, 33u}) {
         WorldConfig config;
-        config.type = nullptr;
+        config.type = &queue;
         config.params = params;
         config.timers_before_deliveries = timers_first;
         config.record_detail = detail;
@@ -323,8 +325,7 @@ TEST(SchedulerEquivalenceTest, TimersBeforeDeliveriesBothWays) {
         });
         for (int i = 0; i < 4; ++i) {
           for (int p = 0; p < 3; ++p) {
-            world.invoke_at(25.0 * i, p, i % 2 == 0 ? "enqueue" : "dequeue",
-                            adt::Value{i * 3 + p});
+            world.invoke_at(25.0 * i, p, i % 2 == 0 ? enq : deq, adt::Value{i * 3 + p});
           }
         }
         world.run();
@@ -334,6 +335,7 @@ TEST(SchedulerEquivalenceTest, TimersBeforeDeliveriesBothWays) {
       // Dyadic constants make the tie exact: p0's announcement reaches p1
       // at 61.5, the instant p1's own execute timer fires.
       WorldConfig config;
+      config.type = &queue;
       config.params = ModelParams{3, 10.0, 2.0, 1.5};
       config.clock_offsets = {-1.5, 0.0, 0.0};
       config.timers_before_deliveries = timers_first;
@@ -342,9 +344,9 @@ TEST(SchedulerEquivalenceTest, TimersBeforeDeliveriesBothWays) {
         return std::make_unique<core::AlgorithmOneProcess>(
             queue, core::TimingPolicy::standard(config.params, 0.0));
       });
-      world.invoke_at(0.0, 2, "enqueue", adt::Value{7});
-      world.invoke_at(50.0, 1, "dequeue", adt::Value::nil());
-      world.invoke_at(51.5, 0, "dequeue", adt::Value::nil());
+      world.invoke_at(0.0, 2, enq, adt::Value{7});
+      world.invoke_at(50.0, 1, deq, adt::Value::nil());
+      world.invoke_at(51.5, 0, deq, adt::Value::nil());
       world.run();
       ring_pins().expect(suite, 0, detail, world.record());
       boundary_digest[timers_first ? 1 : 0][detail == RecordDetail::kFull ? 0 : 1] =

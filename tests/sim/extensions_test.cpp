@@ -11,6 +11,7 @@
 #include "core/timing_policy.hpp"
 #include "harness/runner.hpp"
 #include "lin/checker.hpp"
+#include "named_ops.hpp"
 #include "sim/trace_io.hpp"
 #include "sim/world.hpp"
 
@@ -23,7 +24,7 @@ using adt::Value;
 class ClockProbe : public Process {
  public:
   explicit ClockProbe(std::vector<double>& readings) : readings_(readings) {}
-  void on_invoke(Context& ctx, const std::string&, const adt::Value&) override {
+  void on_invoke(Context& ctx, adt::OpId, const adt::Value&) override {
     readings_.push_back(ctx.local_time());
     ctx.set_timer(10.0, Payload{});  // 10 local units
   }
@@ -38,12 +39,14 @@ class ClockProbe : public Process {
 };
 
 TEST(ExtensionsTest, DriftingClockRunsFast) {
+  const testing::NamedOps probe_ops{"probe"};
   std::vector<double> readings;
   WorldConfig config;
+  config.type = &probe_ops;
   config.params = ModelParams{2, 10.0, 2.0, 1.0};
   config.clock_rates = {1.1, 1.0};
   World world(config, [&](ProcId) { return std::make_unique<ClockProbe>(readings); });
-  world.invoke_at(100.0, 0, "probe", Value::nil());
+  world.invoke_at(100.0, 0, probe_ops.op_id("probe"), Value::nil());
   world.run();
   ASSERT_EQ(readings.size(), 2u);
   EXPECT_NEAR(readings[0], 110.0, 1e-6);  // local = 1.1 * real
@@ -59,14 +62,15 @@ TEST(ExtensionsTest, UnitRatesReproduceBaseline) {
     spec.params = ModelParams{3, 10.0, 2.0, 1.0};
     spec.scripts = harness::random_scripts(queue, 3, 4, 5);
     sim::WorldConfig config;
+    config.type = &queue;
     config.params = spec.params;
     config.clock_rates = std::move(rates);
     World world(config, [&](ProcId) {
       return std::make_unique<core::AlgorithmOneProcess>(
           queue, core::TimingPolicy::standard(spec.params, 0.0));
     });
-    world.invoke_at(0.0, 0, "enqueue", Value{1});
-    world.invoke_at(30.0, 1, "dequeue", Value::nil());
+    world.invoke_at(0.0, 0, queue.op_id("enqueue"), Value{1});
+    world.invoke_at(30.0, 1, queue.op_id("dequeue"), Value::nil());
     world.run();
     return world.record();
   };
@@ -80,7 +84,9 @@ TEST(ExtensionsTest, UnitRatesReproduceBaseline) {
 }
 
 TEST(ExtensionsTest, NonPositiveRateRejected) {
+  adt::RegisterType reg;
   WorldConfig config;
+  config.type = &reg;
   config.params = ModelParams{2, 10.0, 2.0, 1.0};
   config.clock_rates = {0.0, 1.0};
   EXPECT_THROW(World(config, [](ProcId) -> std::unique_ptr<Process> { return nullptr; }),
@@ -90,6 +96,7 @@ TEST(ExtensionsTest, NonPositiveRateRejected) {
 TEST(ExtensionsTest, DropProbabilityDropsMessages) {
   adt::RegisterType reg;
   WorldConfig config;
+  config.type = &reg;
   config.params = ModelParams{4, 10.0, 2.0, 1.0};
   config.drop_probability = 0.5;
   config.drop_seed = 7;
@@ -97,7 +104,7 @@ TEST(ExtensionsTest, DropProbabilityDropsMessages) {
     return std::make_unique<core::AlgorithmOneProcess>(
         reg, core::TimingPolicy::standard(config.params, 0.0));
   });
-  for (int i = 0; i < 10; ++i) world.invoke_at(i * 20.0, i % 4, "write", Value{i});
+  for (int i = 0; i < 10; ++i) world.invoke_at(i * 20.0, i % 4, reg.op_id("write"), Value{i});
   world.run();
   std::size_t dropped = 0;
   for (const auto& m : world.record().messages) {
@@ -110,12 +117,13 @@ TEST(ExtensionsTest, DropProbabilityDropsMessages) {
 TEST(ExtensionsTest, ZeroDropKeepsReliability) {
   adt::RegisterType reg;
   WorldConfig config;
+  config.type = &reg;
   config.params = ModelParams{3, 10.0, 2.0, 1.0};
   World world(config, [&](ProcId) {
     return std::make_unique<core::AlgorithmOneProcess>(
         reg, core::TimingPolicy::standard(config.params, 0.0));
   });
-  world.invoke_at(0.0, 0, "write", Value{1});
+  world.invoke_at(0.0, 0, reg.op_id("write"), Value{1});
   world.run();
   for (const auto& m : world.record().messages) EXPECT_TRUE(m.received);
 }
@@ -168,6 +176,7 @@ TEST(ExtensionsTest, MessageLossBreaksLinearizabilityEventually) {
   // forever and a later accessor there returns a stale value.
   adt::RegisterType reg;
   WorldConfig config;
+  config.type = &reg;
   config.params = ModelParams{3, 10.0, 2.0, 1.0};
   config.drop_probability = 0.9;
   config.drop_seed = 3;
@@ -175,8 +184,8 @@ TEST(ExtensionsTest, MessageLossBreaksLinearizabilityEventually) {
     return std::make_unique<core::AlgorithmOneProcess>(
         reg, core::TimingPolicy::standard(config.params, 0.0));
   });
-  world.invoke_at(0.0, 0, "write", Value{5});
-  world.invoke_at(50.0, 1, "read", Value::nil());
+  world.invoke_at(0.0, 0, reg.op_id("write"), Value{5});
+  world.invoke_at(50.0, 1, reg.op_id("read"), Value::nil());
   world.run();
   const auto check = lin::check_linearizability(reg, world.record());
   EXPECT_FALSE(check.linearizable);  // the read at p1 never heard the write

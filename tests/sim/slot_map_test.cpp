@@ -1,6 +1,5 @@
 // Tests for the SlotMap side-table container (sequential ids, near-FIFO
-// consumption) and for the OpId stamping the World performs when its config
-// names a data type.
+// consumption) and for the OpId the World stamps on every record.
 
 #include "sim/slot_map.hpp"
 
@@ -83,24 +82,15 @@ TEST(WorldOpIdTest, RecordsCarryInternedIdsWhenTypeIsSet) {
   WorldConfig c = config2();
   c.type = &queue;
   World w(c, [&](ProcId) { return std::make_unique<baseline::ZeroWaitProcess>(queue); });
-  w.invoke_at(0.0, 0, "enqueue", adt::Value{1});
-  w.invoke_at(1.0, 1, "enqueue", adt::Value{2});
-  w.invoke_at(2.0, 0, "dequeue", adt::Value::nil());
+  w.invoke_at(0.0, 0, queue.op_id("enqueue"), adt::Value{1});
+  w.invoke_at(1.0, 1, queue.op_id("enqueue"), adt::Value{2});
+  w.invoke_at(2.0, 0, queue.op_id("dequeue"), adt::Value::nil());
   w.run();
   ASSERT_EQ(w.ops().size(), 3u);
   for (const auto& op : w.ops()) {
     ASSERT_TRUE(op.op_id.valid()) << op.op;
     EXPECT_EQ(op.op_id, queue.op_id(op.op));
   }
-}
-
-TEST(WorldOpIdTest, RecordsStayUnresolvedWithoutType) {
-  adt::QueueType queue;
-  World w(config2(), [&](ProcId) { return std::make_unique<baseline::ZeroWaitProcess>(queue); });
-  w.invoke_at(0.0, 0, "enqueue", adt::Value{1});
-  w.run();
-  ASSERT_EQ(w.ops().size(), 1u);
-  EXPECT_FALSE(w.ops()[0].op_id.valid());
 }
 
 }  // namespace

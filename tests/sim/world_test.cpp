@@ -11,9 +11,19 @@
 #include <vector>
 
 #include "adt/register_type.hpp"
+#include "named_ops.hpp"
 
 namespace lintime::sim {
 namespace {
+
+/// The operations Probe understands.
+const testing::NamedOps& probe_ops() {
+  static const testing::NamedOps ops{"ping", "timer", "timer_cancel", "broadcast", "silent",
+                                     "never"};
+  return ops;
+}
+
+adt::OpId op(const char* name) { return probe_ops().op_id(name); }
 
 /// Scriptable probe process for kernel tests.  Payloads are typed records;
 /// the probe's tag vocabulary below maps to the names its log strings use.
@@ -42,9 +52,12 @@ class Probe : public Process {
     return p;
   }
 
-  explicit Probe(Log& log) : log_(log) {}
+  /// `type` must be the World's type; Probe reads each invoked op's name
+  /// back from it.
+  explicit Probe(Log& log, const adt::DataType& type = probe_ops()) : log_(log), type_(type) {}
 
-  void on_invoke(Context& ctx, const std::string& op, const adt::Value& arg) override {
+  void on_invoke(Context& ctx, adt::OpId id, const adt::Value& arg) override {
+    const std::string& op = type_.spec(id).name;
     log_.events.push_back("invoke:" + op);
     log_.local_times.push_back(ctx.local_time());
     if (op == "ping") {
@@ -81,12 +94,14 @@ class Probe : public Process {
 
  private:
   Log& log_;
+  const adt::DataType& type_;
   TimerId timer_;
 };
 
 WorldConfig config3() {
   WorldConfig c;
   c.params = ModelParams{3, 10.0, 2.0, 1.0};
+  c.type = &probe_ops();
   return c;
 }
 
@@ -95,7 +110,7 @@ TEST(WorldTest, MessageArrivesWithConstantDelay) {
   WorldConfig c = config3();
   c.delays = std::make_shared<ConstantDelay>(10.0);
   World w(c, [&](ProcId) { return std::make_unique<Probe>(log); });
-  w.invoke_at(5.0, 0, "ping", adt::Value::nil());
+  w.invoke_at(5.0, 0, op("ping"), adt::Value::nil());
   w.run();
   ASSERT_EQ(w.record().messages.size(), 1u);
   EXPECT_EQ(w.record().messages[0].send_real, 5.0);
@@ -108,7 +123,7 @@ TEST(WorldTest, InvalidDelayRejectedWhenEnforced) {
   WorldConfig c = config3();
   c.delays = std::make_shared<ConstantDelay>(3.0);  // below d-u = 8
   World w(c, [&](ProcId) { return std::make_unique<Probe>(log); });
-  w.invoke_at(0.0, 0, "ping", adt::Value::nil());
+  w.invoke_at(0.0, 0, op("ping"), adt::Value::nil());
   EXPECT_THROW(w.run(), std::logic_error);
 }
 
@@ -118,14 +133,14 @@ TEST(WorldTest, InvalidDelayAllowedWhenNotEnforced) {
   c.delays = std::make_shared<ConstantDelay>(3.0);
   c.enforce_valid_delays = false;
   World w(c, [&](ProcId) { return std::make_unique<Probe>(log); });
-  w.invoke_at(0.0, 0, "ping", adt::Value::nil());
+  w.invoke_at(0.0, 0, op("ping"), adt::Value::nil());
   EXPECT_NO_THROW(w.run());
 }
 
 TEST(WorldTest, TimerFiresAtRequestedDelay) {
   Probe::Log log;
   World w(config3(), [&](ProcId) { return std::make_unique<Probe>(log); });
-  w.invoke_at(2.0, 0, "timer", adt::Value{7});
+  w.invoke_at(2.0, 0, op("timer"), adt::Value{7});
   w.run();
   ASSERT_EQ(log.events.back(), "timer:tick");
   // Timer set at local time 2 (offset 0) for +7.
@@ -135,7 +150,7 @@ TEST(WorldTest, TimerFiresAtRequestedDelay) {
 TEST(WorldTest, CancelledTimerNeverFires) {
   Probe::Log log;
   World w(config3(), [&](ProcId) { return std::make_unique<Probe>(log); });
-  w.invoke_at(0.0, 0, "timer_cancel", adt::Value::nil());
+  w.invoke_at(0.0, 0, op("timer_cancel"), adt::Value::nil());
   w.run();
   for (const auto& ev : log.events) {
     EXPECT_EQ(ev.find("cancelled"), std::string::npos) << ev;
@@ -147,7 +162,7 @@ TEST(WorldTest, ClockOffsetsShiftLocalTime) {
   WorldConfig c = config3();
   c.clock_offsets = {0.5, -0.5, 0.0};
   World w(c, [&](ProcId) { return std::make_unique<Probe>(log); });
-  w.invoke_at(10.0, 0, "silent", adt::Value::nil());
+  w.invoke_at(10.0, 0, op("silent"), adt::Value::nil());
   w.run();
   EXPECT_DOUBLE_EQ(log.local_times.back(), 10.5);
 }
@@ -163,7 +178,7 @@ TEST(WorldTest, ExcessiveSkewRejected) {
 TEST(WorldTest, BroadcastReachesAllOthers) {
   Probe::Log log;
   World w(config3(), [&](ProcId) { return std::make_unique<Probe>(log); });
-  w.invoke_at(0.0, 1, "broadcast", adt::Value::nil());
+  w.invoke_at(0.0, 1, op("broadcast"), adt::Value::nil());
   w.run();
   int received = 0;
   for (const auto& ev : log.events) {
@@ -176,15 +191,15 @@ TEST(WorldTest, BroadcastReachesAllOthers) {
 TEST(WorldTest, SecondInvocationWhilePendingThrows) {
   Probe::Log log;
   World w(config3(), [&](ProcId) { return std::make_unique<Probe>(log); });
-  w.invoke_at(0.0, 0, "never", adt::Value::nil());
-  w.invoke_at(1.0, 0, "silent", adt::Value::nil());
+  w.invoke_at(0.0, 0, op("never"), adt::Value::nil());
+  w.invoke_at(1.0, 0, op("silent"), adt::Value::nil());
   EXPECT_THROW(w.run(), std::logic_error);
 }
 
 TEST(WorldTest, OpRecordCapturesInterval) {
   Probe::Log log;
   World w(config3(), [&](ProcId) { return std::make_unique<Probe>(log); });
-  w.invoke_at(4.0, 2, "silent", adt::Value::nil());
+  w.invoke_at(4.0, 2, op("silent"), adt::Value::nil());
   w.run();
   ASSERT_EQ(w.record().ops.size(), 1u);
   const auto& op = w.record().ops[0];
@@ -198,8 +213,8 @@ TEST(WorldTest, OpRecordCapturesInterval) {
 TEST(WorldTest, StepsRecordedInRealTimeOrder) {
   Probe::Log log;
   World w(config3(), [&](ProcId) { return std::make_unique<Probe>(log); });
-  w.invoke_at(1.0, 0, "ping", adt::Value::nil());
-  w.invoke_at(2.0, 1, "timer", adt::Value{1});
+  w.invoke_at(1.0, 0, op("ping"), adt::Value::nil());
+  w.invoke_at(2.0, 1, op("timer"), adt::Value{1});
   w.run();
   const auto& steps = w.record().steps;
   for (std::size_t i = 1; i < steps.size(); ++i) {
@@ -212,10 +227,11 @@ TEST(WorldTest, DeterministicAcrossRuns) {
     Probe::Log log;
     WorldConfig c;
     c.params = ModelParams{4, 10.0, 2.0, 1.0};
+    c.type = &probe_ops();
     c.delays = std::make_shared<UniformRandomDelay>(8.0, 10.0, 99);
     World w(c, [&](ProcId) { return std::make_unique<Probe>(log); });
-    w.invoke_at(0.0, 0, "broadcast", adt::Value::nil());
-    w.invoke_at(0.5, 1, "broadcast", adt::Value::nil());
+    w.invoke_at(0.0, 0, op("broadcast"), adt::Value::nil());
+    w.invoke_at(0.5, 1, op("broadcast"), adt::Value::nil());
     w.run();
     std::string sig;
     for (const auto& m : w.record().messages) sig += std::to_string(m.recv_real) + ";";
@@ -227,9 +243,9 @@ TEST(WorldTest, DeterministicAcrossRuns) {
 TEST(WorldTest, InvokeInThePastThrows) {
   Probe::Log log;
   World w(config3(), [&](ProcId) { return std::make_unique<Probe>(log); });
-  w.invoke_at(5.0, 0, "silent", adt::Value::nil());
+  w.invoke_at(5.0, 0, op("silent"), adt::Value::nil());
   w.run();
-  EXPECT_THROW(w.invoke_at(1.0, 0, "silent", adt::Value::nil()), std::invalid_argument);
+  EXPECT_THROW(w.invoke_at(1.0, 0, op("silent"), adt::Value::nil()), std::invalid_argument);
 }
 
 TEST(WorldTest, ResponseHookObservesCompletion) {
@@ -237,7 +253,7 @@ TEST(WorldTest, ResponseHookObservesCompletion) {
   World w(config3(), [&](ProcId) { return std::make_unique<Probe>(log); });
   std::vector<std::string> seen;
   w.set_response_hook([&seen](World&, const OpRecord& op) { seen.push_back(op.op); });
-  w.invoke_at(0.0, 0, "silent", adt::Value::nil());
+  w.invoke_at(0.0, 0, op("silent"), adt::Value::nil());
   w.run();
   EXPECT_EQ(seen, std::vector<std::string>{"silent"});
 }
@@ -245,7 +261,7 @@ TEST(WorldTest, ResponseHookObservesCompletion) {
 TEST(WorldTest, ViewOfFiltersSteps) {
   Probe::Log log;
   World w(config3(), [&](ProcId) { return std::make_unique<Probe>(log); });
-  w.invoke_at(0.0, 0, "ping", adt::Value::nil());
+  w.invoke_at(0.0, 0, op("ping"), adt::Value::nil());
   w.run();
   const auto view0 = w.record().view_of(0);
   const auto view1 = w.record().view_of(1);
@@ -290,34 +306,29 @@ TEST(WorldTest, NonPositiveClockRateThrows) {
 
 TEST(WorldTest, InvokeAtIdRequiresConfiguredType) {
   Probe::Log log;
-  WorldConfig c = config3();  // type left null
-  World w(c, [&](ProcId) { return std::make_unique<Probe>(log); });
-  EXPECT_THROW(w.invoke_at(1.0, 0, adt::OpId{}, adt::Value::nil()), std::logic_error);
+  WorldConfig c = config3();
+  c.type = nullptr;
+  try {
+    World w(c, [&](ProcId) { return std::make_unique<Probe>(log); });
+    FAIL() << "a World without a data type was built";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("type"), std::string::npos) << e.what();
+  }
 }
 
-TEST(WorldTest, InvokeAtIdMatchesStringOverload) {
+TEST(WorldTest, InvokeAtIdRecordsNameAndId) {
   adt::RegisterType reg;
-  const auto run = [&](bool by_id) {
-    WorldConfig c = config3();
-    c.type = &reg;
-    Probe::Log log;
-    World w(c, [&](ProcId) { return std::make_unique<Probe>(log); });
-    // Probe responds to any invocation ("write" hits its default branch);
-    // only the recorded op name/id matter here.
-    if (by_id) {
-      w.invoke_at(1.0, 0, reg.op_id(adt::RegisterType::kWrite), adt::Value{7});
-    } else {
-      w.invoke_at(1.0, 0, adt::RegisterType::kWrite, adt::Value{7});
-    }
-    w.run();
-    return w.record();
-  };
-  const auto by_name = run(false);
-  const auto by_id = run(true);
-  ASSERT_EQ(by_id.ops.size(), 1u);
-  EXPECT_EQ(by_id.ops[0].op, "write");
-  EXPECT_TRUE(by_id.ops[0].op_id.valid());
-  EXPECT_EQ(by_name.ops[0].to_string(), by_id.ops[0].to_string());
+  WorldConfig c = config3();
+  c.type = &reg;
+  Probe::Log log;
+  // "write" hits Probe's no-op branch; only the recorded name/id matter.
+  World w(c, [&](ProcId) { return std::make_unique<Probe>(log, reg); });
+  w.invoke_at(1.0, 0, reg.op_id(adt::RegisterType::kWrite), adt::Value{7});
+  w.run();
+  ASSERT_EQ(w.record().ops.size(), 1u);
+  EXPECT_EQ(w.record().ops[0].op, "write");
+  EXPECT_TRUE(w.record().ops[0].op_id.valid());
+  EXPECT_EQ(log.events, std::vector<std::string>{"invoke:write"});
 }
 
 TEST(WorldTest, InvokeAtForeignIdThrows) {
@@ -325,8 +336,12 @@ TEST(WorldTest, InvokeAtForeignIdThrows) {
   WorldConfig c = config3();
   c.type = &reg;
   Probe::Log log;
-  World w(c, [&](ProcId) { return std::make_unique<Probe>(log); });
+  World w(c, [&](ProcId) { return std::make_unique<Probe>(log, reg); });
   EXPECT_THROW(w.invoke_at(1.0, 0, adt::OpId{}, adt::Value::nil()), std::out_of_range);
+  // An id past the end of the type's table is foreign too.
+  EXPECT_THROW(w.invoke_at(1.0, 0, adt::OpId{static_cast<std::uint32_t>(reg.ops().size())},
+                           adt::Value::nil()),
+               std::out_of_range);
 }
 
 }  // namespace
