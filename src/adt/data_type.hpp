@@ -24,7 +24,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "adt/fingerprint.hpp"
@@ -175,9 +174,6 @@ class DataType {
   /// Resolves a name to its interned id; throws std::invalid_argument
   /// naming the unknown op.
   [[nodiscard]] OpId op_id(const std::string& op) const;
-
-  /// Non-throwing resolution: returns the invalid OpId when unknown.
-  [[nodiscard]] OpId find_op(std::string_view op) const { return table().find(op); }
 
   [[nodiscard]] const OpSpec& spec(OpId id) const { return table().spec(id); }
 

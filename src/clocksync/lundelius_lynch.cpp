@@ -4,27 +4,13 @@
 #include <limits>
 #include <stdexcept>
 
-#include "adt/data_type.hpp"
+#include "sim/named_ops.hpp"
 #include "sim/process.hpp"
 #include "sim/world.hpp"
 
 namespace lintime::clocksync {
 
 namespace {
-
-/// The sync round invokes no operations, but a World needs a data type to
-/// issue OpIds: this one declares none.
-class NoOperations final : public adt::DataType {
- public:
-  [[nodiscard]] std::string name() const override { return "clock-sync"; }
-  [[nodiscard]] const std::vector<adt::OpSpec>& ops() const override { return ops_; }
-  [[nodiscard]] std::unique_ptr<adt::ObjectState> make_initial_state() const override {
-    throw std::logic_error("clock sync has no object state");
-  }
-
- private:
-  std::vector<adt::OpSpec> ops_;
-};
 
 class SyncProcess final : public sim::Process {
  public:
@@ -78,7 +64,9 @@ SyncOutcome synchronize(const sim::ModelParams& params,
   SyncOutcome outcome;
   outcome.adjustments.assign(hardware_offsets.size(), 0.0);
 
-  const NoOperations no_operations;
+  // The sync round invokes no operations, but a World needs a data type to
+  // issue OpIds: an empty NamedOps declares none.
+  const sim::NamedOps no_operations;
   sim::WorldConfig config;
   config.type = &no_operations;
   config.params = params;

@@ -1,7 +1,8 @@
 #pragma once
-// A data type that only names operations, for simulator tests whose probe
-// processes have no sequential semantics.  A World needs a type to issue the
-// OpIds it schedules; the probes read the names back through spec(id).
+// A data type that only names operations, for Worlds whose processes have no
+// sequential semantics.  A World needs a type to issue the OpIds it
+// schedules; such processes read the names back through spec(id).  With no
+// names it declares no operations (a World that never invokes anything).
 
 #include <initializer_list>
 #include <memory>
@@ -11,11 +12,11 @@
 
 #include "adt/data_type.hpp"
 
-namespace lintime::testing {
+namespace lintime::sim {
 
 class NamedOps final : public adt::DataType {
  public:
-  NamedOps(std::initializer_list<const char*> names) {
+  NamedOps(std::initializer_list<const char*> names = {}) {
     for (const char* name : names) {
       ops_.push_back(adt::OpSpec{name, adt::OpCategory::kMixed, true});
     }
@@ -31,4 +32,4 @@ class NamedOps final : public adt::DataType {
   std::vector<adt::OpSpec> ops_;
 };
 
-}  // namespace lintime::testing
+}  // namespace lintime::sim

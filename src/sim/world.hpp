@@ -50,7 +50,8 @@ struct WorldConfig {
   /// Required: the data type this run exercises (it must outlive the
   /// World).  It issues the adt::OpIds invoke_at takes and names them in
   /// the trace; every OpRecord carries its id, so downstream metrics can
-  /// aggregate on integers instead of strings.
+  /// aggregate on integers instead of strings.  Processes without
+  /// sequential semantics use sim::NamedOps (named_ops.hpp).
   const adt::DataType* type = nullptr;
 
   /// EXTENSION (outside the paper's model, for the robustness bench): clock

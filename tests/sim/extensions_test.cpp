@@ -11,7 +11,7 @@
 #include "core/timing_policy.hpp"
 #include "harness/runner.hpp"
 #include "lin/checker.hpp"
-#include "named_ops.hpp"
+#include "sim/named_ops.hpp"
 #include "sim/trace_io.hpp"
 #include "sim/world.hpp"
 
@@ -39,7 +39,7 @@ class ClockProbe : public Process {
 };
 
 TEST(ExtensionsTest, DriftingClockRunsFast) {
-  const testing::NamedOps probe_ops{"probe"};
+  const NamedOps probe_ops{"probe"};
   std::vector<double> readings;
   WorldConfig config;
   config.type = &probe_ops;

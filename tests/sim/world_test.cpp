@@ -11,15 +11,14 @@
 #include <vector>
 
 #include "adt/register_type.hpp"
-#include "named_ops.hpp"
+#include "sim/named_ops.hpp"
 
 namespace lintime::sim {
 namespace {
 
 /// The operations Probe understands.
-const testing::NamedOps& probe_ops() {
-  static const testing::NamedOps ops{"ping", "timer", "timer_cancel", "broadcast", "silent",
-                                     "never"};
+const NamedOps& probe_ops() {
+  static const NamedOps ops{"ping", "timer", "timer_cancel", "broadcast", "silent", "never"};
   return ops;
 }
 

@@ -16,7 +16,7 @@ python3.
     python3 tools/ci/check_bench_regress.py \
         --base base-build/bench/micro_benchmarks \
         --head build/bench/micro_benchmarks \
-        --runs 3 --out BENCH_serving_smoke.json
+        --out BENCH_serving_smoke.json
 """
 
 import argparse
@@ -29,6 +29,7 @@ import sys
 import tempfile
 
 BENCH_NAME = "BM_ServingThroughput_Ring/100000"
+RUNS = 3  # interleaved runs per side
 
 
 def warn(message: str) -> None:
@@ -85,7 +86,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--base", required=True, help="micro_benchmarks built at the merge-base")
     parser.add_argument("--head", required=True, help="micro_benchmarks built at HEAD")
-    parser.add_argument("--runs", type=int, default=3, help="interleaved runs per side")
     parser.add_argument(
         "--threshold",
         type=float,
@@ -94,15 +94,13 @@ def main() -> None:
     )
     parser.add_argument("--out", help="also keep the last HEAD run's benchmark JSON here")
     args = parser.parse_args()
-    if args.runs < 1:
-        parser.error("--runs must be >= 1")
 
     binaries = {"base": args.base, "head": args.head}
     runs = {"base": [], "head": []}
     ratios = []
     with tempfile.TemporaryDirectory() as tmp:
         outputs = {side: os.path.join(tmp, f"{side}.json") for side in binaries}
-        for i in range(args.runs):
+        for i in range(RUNS):
             order = ["base", "head"] if i % 2 == 0 else ["head", "base"]
             pair = {side: run_once(binaries[side], outputs[side]) for side in order}
             if pair["base"] is None or pair["head"] is None or pair["base"] <= 0:
