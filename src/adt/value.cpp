@@ -9,14 +9,6 @@ namespace lintime::adt {
 
 namespace {
 
-/// Rank used to order values of different kinds: nil < int < string < vector.
-int kind_rank(const Value& v) {
-  if (v.is_nil()) return 0;
-  if (v.is_int()) return 1;
-  if (v.is_str()) return 2;
-  return 3;
-}
-
 void hash_combine(std::size_t& seed, std::size_t h) {
   // Boost-style mixing; good enough for memo-table keys.
   seed ^= h + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2);
@@ -25,8 +17,8 @@ void hash_combine(std::size_t& seed, std::size_t h) {
 }  // namespace
 
 bool operator<(const Value& a, const Value& b) {
-  const int ra = kind_rank(a);
-  const int rb = kind_rank(b);
+  const int ra = a.kind_order();
+  const int rb = b.kind_order();
   if (ra != rb) return ra < rb;
   switch (ra) {
     case 0:

@@ -45,6 +45,10 @@ class Value {
   [[nodiscard]] bool is_str() const { return std::holds_alternative<std::string>(rep_); }
   [[nodiscard]] bool is_vec() const { return std::holds_alternative<ValueVec>(rep_); }
 
+  /// Position of this value's kind in the total order -- nil 0 < int 1 <
+  /// string 2 < vector 3 -- the first key operator< compares.
+  [[nodiscard]] int kind_order() const { return static_cast<int>(rep_.index()); }
+
   /// Accessors throw std::bad_variant_access on type mismatch; callers in
   /// this library always check or know the type from the operation spec.
   [[nodiscard]] std::int64_t as_int() const { return std::get<std::int64_t>(rep_); }

@@ -38,33 +38,12 @@ JobMetrics reduce_record(const sim::RunRecord& record) {
   out.ops_invoked = record.ops.size();
   out.quiescence_time = record.last_time();
 
-  // Aggregate on the interned op id (dense integer index) when the record
-  // carries one; string keys only for records without ids (loaded traces).
-  // Names are resolved into the sorted output map once, at sink time.
-  struct Bucket {
-    std::string name;
-    std::vector<double> latencies;
-  };
-  std::vector<Bucket> by_id;
-  std::map<std::string, std::vector<double>> by_name;
-  for (const auto& op : record.ops) {
-    if (!op.complete()) continue;
-    ++out.ops_complete;
-    if (op.op_id.valid()) {
-      const auto idx = static_cast<std::size_t>(op.op_id.index());
-      if (idx >= by_id.size()) by_id.resize(idx + 1);
-      auto& bucket = by_id[idx];
-      if (bucket.latencies.empty()) bucket.name = op.op;
-      bucket.latencies.push_back(op.latency());
-    } else {
-      by_name[op.op].push_back(op.latency());
-    }
-  }
-  for (auto& bucket : by_id) {
-    if (bucket.latencies.empty()) continue;
-    out.ops[bucket.name] = reduce_samples(std::move(bucket.latencies));
-  }
-  for (auto& [name, latencies] : by_name) {
+  auto by_op = sim::fold_latencies_by_op<std::vector<double>>(
+      record.ops, [](std::vector<double>& samples, sim::Time latency) {
+        samples.push_back(latency);
+      });
+  for (auto& [name, latencies] : by_op) {
+    out.ops_complete += latencies.size();
     out.ops[name] = reduce_samples(std::move(latencies));
   }
 

@@ -1,5 +1,6 @@
 #include "harness/runner.hpp"
 
+#include <algorithm>
 #include <random>
 #include <stdexcept>
 
@@ -60,44 +61,18 @@ const LatencyStats& RunResult::stats_for(const std::string& op) const {
 }
 
 std::map<std::string, LatencyStats> latency_by_op(const sim::RunRecord& record) {
-  // Accumulate on the interned op id (dense vector, no string hashing per
-  // record) whenever the record carries one; names are resolved into the
-  // sorted output map once at the end.  Records without ids (e.g. loaded
-  // from traces) fall back to string keys directly.
-  struct Bucket {
-    std::string name;
-    LatencyStats stats;
-  };
-  std::vector<Bucket> by_id;
-  std::map<std::string, LatencyStats> out;
-
-  const auto accumulate = [](LatencyStats& s, sim::Time latency) {
-    if (s.count == 0) {
-      s.min = s.max = latency;
-    } else {
-      s.min = std::min(s.min, latency);
-      s.max = std::max(s.max, latency);
-    }
-    s.mean = (s.mean * static_cast<double>(s.count) + latency) / static_cast<double>(s.count + 1);
-    ++s.count;
-  };
-
-  for (const auto& op : record.ops) {
-    if (!op.complete()) continue;
-    if (op.op_id.valid()) {
-      const auto idx = static_cast<std::size_t>(op.op_id.index());
-      if (idx >= by_id.size()) by_id.resize(idx + 1);
-      auto& bucket = by_id[idx];
-      if (bucket.stats.count == 0) bucket.name = op.op;
-      accumulate(bucket.stats, op.latency());
-    } else {
-      accumulate(out[op.op], op.latency());
-    }
-  }
-  for (auto& bucket : by_id) {
-    if (bucket.stats.count > 0) out[bucket.name] = bucket.stats;
-  }
-  return out;
+  return sim::fold_latencies_by_op<LatencyStats>(
+      record.ops, [](LatencyStats& s, sim::Time latency) {
+        if (s.count == 0) {
+          s.min = s.max = latency;
+        } else {
+          s.min = std::min(s.min, latency);
+          s.max = std::max(s.max, latency);
+        }
+        s.mean = (s.mean * static_cast<double>(s.count) + latency) /
+                 static_cast<double>(s.count + 1);
+        ++s.count;
+      });
 }
 
 RunResult execute(const adt::DataType& type, const RunSpec& spec) {

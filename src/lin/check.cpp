@@ -1,6 +1,5 @@
 #include "lin/check.hpp"
 
-#include "lin/fast/classifier.hpp"
 #include "lin/fast/registry.hpp"
 
 namespace lintime::lin {
@@ -32,10 +31,9 @@ CheckReport check(const adt::DataType& type, const std::vector<sim::OpRecord>& o
   }
   const auto cls = fast::classify(type, ops);
   if (cls.eligible) {
-    const auto* entry = fast::MonitorRegistry::instance().find(cls.family);
     report.stats.route = CheckRoute::kFastPath;
     report.stats.family = cls.family;
-    report.result.linearizable = entry->run(type, ops);
+    report.result.linearizable = !cls.view.impossible_return && cls.monitor->run(cls.view);
     return report;
   }
   report.stats.fallback_reason = cls.reason;

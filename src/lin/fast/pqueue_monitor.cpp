@@ -2,7 +2,9 @@
 // no smaller value is in the queue there, so with distinct inserted values
 // a history is linearizable iff, processing values in ascending order:
 //
-//   V1  every extract matches a unique insert (non-nil returns);
+//   V1  every extract matches a unique insert (non-nil returns), and no
+//       insert returns non-nil (the classifier flags that as an impossible
+//       return);
 //   V2  no extract precedes its own insert;
 //   V3  no extract of v has its interval covered by the union of
 //       certain-presence windows (insert(w).response, extract(w).invoke)
@@ -14,10 +16,8 @@
 // each extract is queried against exactly the smaller values: O(n log n).
 
 #include <limits>
-#include <map>
 #include <vector>
 
-#include "adt/pqueue_type.hpp"
 #include "lin/fast/interval_union.hpp"
 #include "lin/fast/monitors.hpp"
 
@@ -28,40 +28,38 @@ namespace {
 constexpr sim::Time kInf = std::numeric_limits<sim::Time>::infinity();
 
 struct ValuePair {
-  const sim::OpRecord* ins = nullptr;
-  const sim::OpRecord* ext = nullptr;
+  const ViewOp* ins = nullptr;
+  const ViewOp* ext = nullptr;
 };
 
 }  // namespace
 
-bool monitor_pqueue(const adt::DataType& /*type*/, const std::vector<sim::OpRecord>& ops) {
-  std::map<adt::Value, ValuePair> byval;  // ascending value order drives the sweep
-  std::vector<const sim::OpRecord*> empties;
-  for (const auto& r : ops) {
-    if (r.op == adt::PriorityQueueType::kInsert) {
-      if (!r.ret.is_nil()) return false;  // V1
-      byval[r.arg].ins = &r;
-    } else {  // extract_min
-      if (r.ret.is_nil()) {
-        empties.push_back(&r);
-        continue;
-      }
-      auto& p = byval[r.ret];
+bool monitor_pqueue(const HistoryView& view) {
+  // Indexed by rank, so ascending value order drives the sweep.
+  std::vector<ValuePair> byval(view.num_ranks);
+  std::vector<const ViewOp*> empties;
+  for (const auto& r : view.ops) {
+    if (r.kind == OpKind::kMutator) {
+      byval[r.rank].ins = &r;
+    } else if (r.kind == OpKind::kEmpty) {
+      empties.push_back(&r);
+    } else {
+      auto& p = byval[r.rank];
       if (p.ext != nullptr) return false;  // V1: value extracted twice
       p.ext = &r;
     }
   }
   IntervalUnion presence;
-  for (const auto& [v, p] : byval) {
+  for (const auto& p : byval) {
     if (p.ins == nullptr) return false;  // V1
     if (p.ext != nullptr) {
-      if (p.ext->response_real < p.ins->invoke_real) return false;  // V2
-      if (presence.covers(p.ext->invoke_real, p.ext->response_real)) return false;  // V3
+      if (p.ext->response < p.ins->invoke) return false;  // V2
+      if (presence.covers(p.ext->invoke, p.ext->response)) return false;  // V3
     }
-    presence.add(p.ins->response_real, p.ext != nullptr ? p.ext->invoke_real : kInf);
+    presence.add(p.ins->response, p.ext != nullptr ? p.ext->invoke : kInf);
   }
   for (const auto* d : empties) {
-    if (presence.covers(d->invoke_real, d->response_real)) return false;  // V4
+    if (presence.covers(d->invoke, d->response)) return false;  // V4
   }
   return true;
 }

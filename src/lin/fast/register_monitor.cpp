@@ -15,11 +15,10 @@
 // prefix top-2 sweep over blocks sorted by lo.
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
-#include <map>
 #include <vector>
 
-#include "adt/register_type.hpp"
 #include "lin/fast/monitors.hpp"
 
 namespace lintime::lin::fast {
@@ -29,50 +28,43 @@ namespace {
 constexpr sim::Time kInf = std::numeric_limits<sim::Time>::infinity();
 
 struct Block {
-  const sim::OpRecord* write = nullptr;  ///< null for the initial block
-  sim::Time hi = -kInf;                  ///< max invoke over the block's ops
-  sim::Time lo = kInf;                   ///< min response over the block's ops
-  void absorb(const sim::OpRecord& r) {
-    hi = std::max(hi, r.invoke_real);
-    lo = std::min(lo, r.response_real);
+  const ViewOp* write = nullptr;  ///< null for the initial block
+  sim::Time hi = -kInf;           ///< max invoke over the block's ops
+  sim::Time lo = kInf;            ///< min response over the block's ops
+  bool used = false;              ///< some op absorbed
+  void absorb(const ViewOp& r) {
+    hi = std::max(hi, r.invoke);
+    lo = std::min(lo, r.response);
+    used = true;
   }
 };
 
 }  // namespace
 
-bool monitor_register(const adt::DataType& type, const std::vector<sim::OpRecord>& ops) {
-  const auto initial = type.initial_state();
-  const adt::Value v0 = initial->apply(adt::RegisterType::kRead, adt::Value::nil());
-
-  std::map<adt::Value, Block> blocks;  // by written value (distinct per classifier)
-  Block init;
-  bool init_used = false;
-  for (const auto& r : ops) {
-    if (r.op == adt::RegisterType::kWrite) {
-      if (!r.ret.is_nil()) return false;
-      blocks[r.arg].write = &r;
-    }
+bool monitor_register(const HistoryView& view) {
+  // Indexed by the rank of the written / read value; the initial value's
+  // rank holds the initial block (no write has it, per the classifier).
+  std::vector<Block> blocks(view.num_ranks);
+  for (const auto& r : view.ops) {
+    auto& b = blocks[r.rank];
+    if (r.kind == OpKind::kMutator) b.write = &r;
+    b.absorb(r);
   }
-  for (const auto& r : ops) {
-    if (r.op == adt::RegisterType::kWrite) {
-      blocks[r.arg].absorb(r);
-      continue;
-    }
-    if (r.ret == v0) {
-      init_used = true;
-      init.absorb(r);
-      continue;
-    }
-    const auto it = blocks.find(r.ret);
-    if (it == blocks.end()) return false;  // read of a never-written value
-    if (r.response_real < it->second.write->invoke_real) return false;  // read precedes write
-    it->second.absorb(r);
-  }
+  const Block init = blocks[view.initial_rank];
 
   std::vector<Block> all;
-  all.reserve(blocks.size() + 1);
-  for (const auto& [v, b] : blocks) all.push_back(b);
-  if (init_used) {
+  all.reserve(blocks.size());
+  for (std::uint32_t v = 0; v < blocks.size(); ++v) {
+    const Block& b = blocks[v];
+    if (v == view.initial_rank || !b.used) continue;
+    if (b.write == nullptr) return false;  // read of a never-written value
+    // A block's ops other than the write are reads, and the write's own
+    // response is at least its invoke, so lo < invoke iff some read of the
+    // value responded before its write was invoked.
+    if (b.lo < b.write->invoke) return false;  // read precedes write
+    all.push_back(b);
+  }
+  if (init.used) {
     // The initial block must be first: any block with an op preceding one
     // of its reads is a contradiction.
     for (const auto& b : all) {

@@ -1,29 +1,32 @@
 #pragma once
 // MonitorRegistry: the dispatch table from adt::MonitorFamily to the
 // family's log-linear monitor.  One immutable process-wide instance; the
-// lin::check() facade consults it, the classifier reads the supported-op
-// sets from it, and the README's checker table is generated from the same
-// entries (name, supported ops, complexity).
+// classifier reads each family's operation names from it and hands the
+// matching entry to lin::check() with the ranked view, and the README's
+// checker table lists the same entries (name, operations, complexity).
 
 #include <string>
 #include <vector>
 
 #include "adt/data_type.hpp"
-#include "sim/run_record.hpp"
+#include "lin/fast/classifier.hpp"
 
 namespace lintime::lin::fast {
 
-/// A family monitor: exact verdict for histories satisfying the family's
-/// unambiguity precondition (see monitors.hpp).
-using MonitorFn = bool (*)(const adt::DataType&, const std::vector<sim::OpRecord>&);
+/// A family monitor: exact verdict for a classifier-eligible history's
+/// ranked view (see monitors.hpp).
+using MonitorFn = bool (*)(const HistoryView&);
 
 struct MonitorEntry {
   adt::MonitorFamily family = adt::MonitorFamily::kNone;
-  /// Operation names the monitor understands; a history using any other
-  /// operation of the type falls back to the general checker.
-  std::vector<std::string> supported_ops;
-  /// Human-readable unambiguity precondition (docs + fallback messages).
+  /// The two operation names the monitor understands; a history using any
+  /// other operation of the type falls back to the general checker.
+  std::string mutator;   ///< write / enqueue / push / add / insert
+  std::string accessor;  ///< read / dequeue / pop / contains / extract_min
+  /// Human-readable unambiguity precondition (docs).
   std::string precondition;
+  /// Fallback reason when two mutators carry the same value.
+  std::string duplicate_reason;
   /// Worst-case complexity, for the README table.
   std::string complexity;
   MonitorFn run = nullptr;

@@ -6,12 +6,13 @@
 // precede add(v)'s point and all contains(v)->1 points follow it -- a
 // global point assignment IS a linearization (interval order is respected
 // pointwise), so the per-value feasibility test below is exact, not an
-// approximation.  O(n log n) from the value grouping alone.
+// approximation.  Linear in the ranked view; the O(n log n) is the
+// classifier's value ranking.
 
+#include <algorithm>
 #include <limits>
-#include <map>
+#include <vector>
 
-#include "adt/set_type.hpp"
 #include "lin/fast/monitors.hpp"
 
 namespace lintime::lin::fast {
@@ -21,7 +22,7 @@ namespace {
 constexpr sim::Time kInf = std::numeric_limits<sim::Time>::infinity();
 
 struct PerValue {
-  const sim::OpRecord* add = nullptr;
+  const ViewOp* add = nullptr;
   sim::Time max_r0_invoke = -kInf;  ///< contains->0: point must follow nothing, precede add
   sim::Time min_r1_response = kInf;  ///< contains->1: point must follow add
   bool has_r1 = false;
@@ -29,27 +30,20 @@ struct PerValue {
 
 }  // namespace
 
-bool monitor_set(const adt::DataType& /*type*/, const std::vector<sim::OpRecord>& ops) {
-  std::map<adt::Value, PerValue> byval;
-  for (const auto& r : ops) {
-    if (r.op == adt::SetType::kAdd) {
-      if (!r.ret.is_nil()) return false;
-      byval[r.arg].add = &r;
-      continue;
-    }
-    // contains
-    if (!r.ret.is_int()) return false;
-    const auto bit = r.ret.as_int();
-    if (bit != 0 && bit != 1) return false;
-    auto& s = byval[r.arg];
-    if (bit == 1) {
+bool monitor_set(const HistoryView& view) {
+  std::vector<PerValue> byval(view.num_ranks);
+  for (const auto& r : view.ops) {
+    auto& s = byval[r.rank];
+    if (r.kind == OpKind::kMutator) {
+      s.add = &r;
+    } else if (r.kind == OpKind::kAccessor) {  // contains->1
       s.has_r1 = true;
-      s.min_r1_response = std::min(s.min_r1_response, r.response_real);
-    } else {
-      s.max_r0_invoke = std::max(s.max_r0_invoke, r.invoke_real);
+      s.min_r1_response = std::min(s.min_r1_response, r.response);
+    } else {  // contains->0
+      s.max_r0_invoke = std::max(s.max_r0_invoke, r.invoke);
     }
   }
-  for (const auto& [v, s] : byval) {
+  for (const auto& s : byval) {
     if (s.add == nullptr) {
       if (s.has_r1) return false;  // contains->1 without an add
       continue;
@@ -59,9 +53,9 @@ bool monitor_set(const adt::DataType& /*type*/, const std::vector<sim::OpRecord>
     // forced strictly opposite (b.response < a.invoke), so each rejection
     // below is strict -- exact boundary ties stay feasible, matching the
     // general checker's interval order.
-    if (s.max_r0_invoke > s.add->response_real) return false;   // add forced before a ->0
-    if (s.min_r1_response < s.add->invoke_real) return false;   // a ->1 forced before add
-    if (s.min_r1_response < s.max_r0_invoke) return false;      // a ->1 forced before a ->0
+    if (s.max_r0_invoke > s.add->response) return false;  // add forced before a ->0
+    if (s.min_r1_response < s.add->invoke) return false;  // a ->1 forced before add
+    if (s.min_r1_response < s.max_r0_invoke) return false;  // a ->1 forced before a ->0
   }
   return true;
 }

@@ -3,7 +3,8 @@
 // basis of arXiv:2410.04581's stack monitor):
 //
 //   V1  a pop returns a value never pushed, or a value twice, or a push
-//       returns non-nil;
+//       returns non-nil (the classifier flags that one as an impossible
+//       return);
 //   V2  a pop precedes its own push;
 //   V3  a forced LIFO inversion: push(a) < push(b), push(b) < pop(a), and
 //       pop(a) < pop(b) or b is never popped -- b certainly sits above a
@@ -19,10 +20,8 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <vector>
 
-#include "adt/stack_type.hpp"
 #include "lin/fast/interval_union.hpp"
 #include "lin/fast/monitors.hpp"
 
@@ -33,35 +32,29 @@ namespace {
 constexpr sim::Time kInf = std::numeric_limits<sim::Time>::infinity();
 
 struct ValuePair {
-  const sim::OpRecord* push = nullptr;
-  const sim::OpRecord* pop = nullptr;
+  const ViewOp* push = nullptr;
+  const ViewOp* pop = nullptr;
 };
 
 }  // namespace
 
-bool monitor_stack(const adt::DataType& /*type*/, const std::vector<sim::OpRecord>& ops) {
-  std::map<adt::Value, ValuePair> byval;
-  std::vector<const sim::OpRecord*> empties;
-  for (const auto& r : ops) {
-    if (r.op == adt::StackType::kPush) {
-      if (!r.ret.is_nil()) return false;  // V1
-      byval[r.arg].push = &r;
-    } else {  // pop
-      if (r.ret.is_nil()) {
-        empties.push_back(&r);
-        continue;
-      }
-      auto& p = byval[r.ret];
+bool monitor_stack(const HistoryView& view) {
+  std::vector<ValuePair> values(view.num_ranks);  // every rank is a pushed or popped value
+  std::vector<const ViewOp*> empties;
+  for (const auto& r : view.ops) {
+    if (r.kind == OpKind::kMutator) {
+      values[r.rank].push = &r;
+    } else if (r.kind == OpKind::kEmpty) {
+      empties.push_back(&r);
+    } else {
+      auto& p = values[r.rank];
       if (p.pop != nullptr) return false;  // V1: value popped twice
       p.pop = &r;
     }
   }
-  std::vector<ValuePair> values;
-  values.reserve(byval.size());
-  for (const auto& [v, p] : byval) {
-    if (p.push == nullptr) return false;  // V1
-    if (p.pop != nullptr && p.pop->response_real < p.push->invoke_real) return false;  // V2
-    values.push_back(p);
+  for (const auto& p : values) {
+    if (p.push == nullptr) return false;                                    // V1
+    if (p.pop != nullptr && p.pop->response < p.push->invoke) return false;  // V2
   }
 
   // V3 sweep.  Candidates b sorted by push.invoke descending are inserted
@@ -71,7 +64,7 @@ bool monitor_stack(const adt::DataType& /*type*/, const std::vector<sim::OpRecor
   if (!values.empty()) {
     std::vector<sim::Time> resp_coords(values.size());
     for (std::size_t i = 0; i < values.size(); ++i) {
-      resp_coords[i] = values[i].push->response_real;
+      resp_coords[i] = values[i].push->response;
     }
     std::sort(resp_coords.begin(), resp_coords.end());
     resp_coords.erase(std::unique(resp_coords.begin(), resp_coords.end()), resp_coords.end());
@@ -80,34 +73,33 @@ bool monitor_stack(const adt::DataType& /*type*/, const std::vector<sim::OpRecor
     for (std::size_t i = 0; i < by_push_inv_desc.size(); ++i) by_push_inv_desc[i] = i;
     std::sort(by_push_inv_desc.begin(), by_push_inv_desc.end(),
               [&values](std::size_t x, std::size_t y) {
-                return values[x].push->invoke_real > values[y].push->invoke_real;
+                return values[x].push->invoke > values[y].push->invoke;
               });
     std::vector<std::size_t> queries;  // indices of popped values a
     for (std::size_t i = 0; i < values.size(); ++i) {
       if (values[i].pop != nullptr) queries.push_back(i);
     }
     std::sort(queries.begin(), queries.end(), [&values](std::size_t x, std::size_t y) {
-      return values[x].push->response_real > values[y].push->response_real;
+      return values[x].push->response > values[y].push->response;
     });
 
     PrefixMaxFenwick fen(resp_coords.size());
     std::size_t inserted = 0;
     for (const auto a : queries) {
-      const sim::Time threshold = values[a].push->response_real;
+      const sim::Time threshold = values[a].push->response;
       while (inserted < by_push_inv_desc.size() &&
-             values[by_push_inv_desc[inserted]].push->invoke_real > threshold) {
+             values[by_push_inv_desc[inserted]].push->invoke > threshold) {
         const auto& b = values[by_push_inv_desc[inserted]];
         const auto coord = static_cast<std::size_t>(
-            std::lower_bound(resp_coords.begin(), resp_coords.end(), b.push->response_real) -
+            std::lower_bound(resp_coords.begin(), resp_coords.end(), b.push->response) -
             resp_coords.begin());
-        fen.raise(coord, b.pop != nullptr ? b.pop->invoke_real : kInf);
+        fen.raise(coord, b.pop != nullptr ? b.pop->invoke : kInf);
         ++inserted;
       }
       const auto upto = static_cast<std::size_t>(
-          std::lower_bound(resp_coords.begin(), resp_coords.end(),
-                           values[a].pop->invoke_real) -
+          std::lower_bound(resp_coords.begin(), resp_coords.end(), values[a].pop->invoke) -
           resp_coords.begin());
-      if (fen.prefix_max(upto) > values[a].pop->response_real) return false;
+      if (fen.prefix_max(upto) > values[a].pop->response) return false;
     }
   }
 
@@ -115,10 +107,10 @@ bool monitor_stack(const adt::DataType& /*type*/, const std::vector<sim::OpRecor
   if (!empties.empty()) {
     IntervalUnion presence;
     for (const auto& p : values) {
-      presence.add(p.push->response_real, p.pop != nullptr ? p.pop->invoke_real : kInf);
+      presence.add(p.push->response, p.pop != nullptr ? p.pop->invoke : kInf);
     }
     for (const auto* d : empties) {
-      if (presence.covers(d->invoke_real, d->response_real)) return false;
+      if (presence.covers(d->invoke, d->response)) return false;
     }
   }
   return true;

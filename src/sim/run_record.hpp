@@ -5,6 +5,7 @@
 // records exactly as Theorem 1 and Lemma 2 transform runs.
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -85,6 +86,33 @@ struct OpRecord {
 
   [[nodiscard]] std::string to_string() const;
 };
+
+/// Groups the latency of every complete record by operation name, in record
+/// order: `fold(acc, latency)` folds each latency into its name's `Acc`.
+/// Records carrying an interned id reach their accumulator through a dense
+/// id index (one name lookup per operation, not per record); records
+/// without one (e.g. loaded from traces) by name.  Callers keep their own
+/// reduction: a running mean, a percentile sample.
+template <class Acc, class Fold>
+[[nodiscard]] std::map<std::string, Acc> fold_latencies_by_op(const std::vector<OpRecord>& ops,
+                                                              Fold fold) {
+  std::map<std::string, Acc> out;
+  std::vector<Acc*> by_id;
+  for (const auto& op : ops) {
+    if (!op.complete()) continue;
+    Acc* acc = nullptr;
+    if (op.op_id.valid()) {
+      const auto idx = static_cast<std::size_t>(op.op_id.index());
+      if (idx >= by_id.size()) by_id.resize(idx + 1, nullptr);
+      if (by_id[idx] == nullptr) by_id[idx] = &out[op.op];
+      acc = by_id[idx];
+    } else {
+      acc = &out[op.op];
+    }
+    fold(*acc, op.latency());
+  }
+  return out;
+}
 
 /// A complete recorded run.
 struct RunRecord {

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "adt/counter_type.hpp"
@@ -337,6 +338,140 @@ TEST(ClassifierTest, WriteOfInitialValueFallsBack) {
       op(0, "write", 0, Value::nil(), 0, 1),
   };
   EXPECT_FALSE(classify(reg, h).eligible);
+}
+
+
+// --- reason precedence: histories that break several conditions at once ----
+//
+// The checks run in a fixed order -- incomplete, unsupported operation,
+// per-process gaps, duplicate values, write of the initial value -- and the
+// reason names the first offending record of the winning check.
+
+std::string reason_of(const adt::DataType& type, const std::vector<OpRecord>& h) {
+  const auto c = classify(type, h);
+  EXPECT_FALSE(c.eligible);
+  return c.reason;
+}
+
+TEST(ClassifierTest, IncompleteOutranksAnEarlierUnsupportedOperation) {
+  adt::QueueType q;
+  std::vector<OpRecord> h = {
+      op(0, "enqueue", 1, Value::nil(), 0, 1),
+      op(1, "peek", Value::nil(), 1, 2, 3),
+      op(2, "dequeue", Value::nil(), Value::nil(), 4, 5),
+      op(3, "size", Value::nil(), Value{1}, 6, 7),
+  };
+  h[2].response_real = -1;  // pending, after the unsupported peek
+  EXPECT_EQ(reason_of(q, h), "incomplete operation record 'dequeue'");
+}
+
+TEST(ClassifierTest, FirstIncompleteRecordIsNamed) {
+  adt::StackType s;
+  std::vector<OpRecord> h = {
+      op(0, "push", 1, Value::nil(), 0, 1),
+      op(1, "pop", Value::nil(), Value::nil(), 2, 3),
+      op(2, "push", 2, Value::nil(), 4, 5),
+  };
+  h[1].response_real = -1;
+  h[2].response_real = -1;
+  EXPECT_EQ(reason_of(s, h), "incomplete operation record 'pop'");
+}
+
+TEST(ClassifierTest, FirstUnsupportedOperationIsNamed) {
+  adt::PriorityQueueType pq;
+  const std::vector<OpRecord> h = {
+      op(0, "insert", 4, Value::nil(), 0, 1),
+      op(1, "find_min", Value::nil(), Value{4}, 2, 3),
+      op(2, "peek", Value::nil(), Value{4}, 4, 5),
+  };
+  EXPECT_EQ(reason_of(pq, h),
+            "operation 'find_min' is outside the pqueue monitor's supported set");
+}
+
+TEST(ClassifierTest, UnsupportedOutranksGapsAndDuplicates) {
+  adt::SetType s;
+  // Process 0's adds touch (zero gap) and add the same value; the size
+  // at the end is still what the reason names.
+  const std::vector<OpRecord> h = {
+      op(0, "add", 1, Value::nil(), 0, 1),
+      op(0, "add", 1, Value::nil(), 1, 2),
+      op(1, "size", Value::nil(), Value{1}, 3, 4),
+  };
+  EXPECT_EQ(reason_of(s, h), "operation 'size' is outside the set monitor's supported set");
+}
+
+TEST(ClassifierTest, GapsOutrankDuplicateValues) {
+  adt::QueueType q;
+  const std::vector<OpRecord> h = {
+      op(0, "enqueue", 7, Value::nil(), 0, 1),
+      op(0, "enqueue", 7, Value::nil(), 1, 2),  // zero gap and a duplicate
+  };
+  EXPECT_EQ(reason_of(q, h), kGapReason);
+}
+
+TEST(ClassifierTest, GapsOutrankAWriteOfTheInitialValue) {
+  adt::RegisterType reg;  // initial value 0
+  const std::vector<OpRecord> h = {
+      op(0, "write", 0, Value::nil(), 0, 2),
+      op(0, "read", Value::nil(), 0, 1, 3),  // overlaps the write
+  };
+  EXPECT_EQ(reason_of(reg, h), kGapReason);
+}
+
+TEST(ClassifierTest, DuplicatesOutrankAnEarlierWriteOfTheInitialValue) {
+  adt::RegisterType reg;  // initial value 0
+  const std::vector<OpRecord> h = {
+      op(0, "write", 0, Value::nil(), 0, 1),
+      op(1, "write", 5, Value::nil(), 2, 3),
+      op(2, "write", 5, Value::nil(), 4, 5),
+  };
+  EXPECT_EQ(reason_of(reg, h), "duplicate written value (ambiguous read matching)");
+  // Writing the initial value twice is a duplicate first, too.
+  const std::vector<OpRecord> twice = {
+      op(0, "write", 0, Value::nil(), 0, 1),
+      op(1, "write", 0, Value::nil(), 2, 3),
+  };
+  EXPECT_EQ(reason_of(reg, twice), "duplicate written value (ambiguous read matching)");
+}
+
+TEST(ClassifierTest, WriteOfTheInitialValueNamesIt) {
+  adt::RegisterType reg(9);
+  const std::vector<OpRecord> h = {
+      op(0, "write", 1, Value::nil(), 0, 1),
+      op(1, "read", Value::nil(), 9, 2, 3),
+      op(0, "write", 9, Value::nil(), 4, 5),
+  };
+  EXPECT_EQ(reason_of(reg, h), "write of the initial value 9 (ambiguous with the initial cluster)");
+}
+
+TEST(ClassifierTest, DuplicateReasonsPerFamily) {
+  adt::QueueType q;
+  adt::StackType st;
+  adt::SetType set;
+  adt::PriorityQueueType pq;
+  const auto twice = [](const char* name) {
+    return std::vector<OpRecord>{op(0, name, 3, Value::nil(), 0, 1),
+                                 op(1, name, 3, Value::nil(), 0, 1)};
+  };
+  EXPECT_EQ(reason_of(q, twice("enqueue")), "duplicate enqueued value");
+  EXPECT_EQ(reason_of(st, twice("push")), "duplicate pushed value");
+  EXPECT_EQ(reason_of(set, twice("add")), "value added more than once");
+  EXPECT_EQ(reason_of(pq, twice("insert")), "duplicate inserted value");
+}
+
+TEST(ClassifierTest, SparseProcessIdsStillCheckGaps) {
+  adt::QueueType q;
+  // Process ids spread far wider than the history is long.
+  const std::vector<OpRecord> gapped = {
+      op(-1000000, "enqueue", 1, Value::nil(), 0, 1),
+      op(2000000000, "enqueue", 2, Value::nil(), 0, 1),
+      op(-1000000, "dequeue", Value::nil(), 1, 2, 3),
+  };
+  const auto c = classify(q, gapped);
+  EXPECT_TRUE(c.eligible) << c.reason;
+  auto touching = gapped;
+  touching[2].invoke_real = 1;
+  EXPECT_EQ(reason_of(q, touching), kGapReason);
 }
 
 }  // namespace
