@@ -316,6 +316,20 @@ TEST(FastMonitorTest, PQueueExtractBeforeInsert) {
                                }));
 }
 
+// --- returns no sequential run produces ------------------------------------
+
+TEST(FastMonitorTest, ImpossibleReturnsAreNotLinearizable) {
+  adt::QueueType q;
+  adt::RegisterType reg;
+  adt::SetType set;
+  adt::PriorityQueueType pq;
+  EXPECT_FALSE(both_routes(q, {op(0, "enqueue", 1, Value{1}, 0, 1)}));
+  EXPECT_FALSE(both_routes(reg, {op(0, "write", 1, Value{0}, 0, 1)}));
+  EXPECT_FALSE(both_routes(pq, {op(0, "insert", 1, Value{"ok"}, 0, 1)}));
+  EXPECT_FALSE(both_routes(set, {op(0, "contains", 1, Value{2}, 0, 1)}));
+  EXPECT_FALSE(both_routes(set, {op(0, "contains", 1, Value::nil(), 0, 1)}));
+}
+
 // --- facade routing --------------------------------------------------------
 
 TEST(FastMonitorTest, RequireWitnessForcesGeneralRoute) {
