@@ -23,23 +23,22 @@ Classification fallback(adt::MonitorFamily family, std::string reason) {
 /// order and the monitors need only the former.  Zero-gap boundaries are
 /// exactly the case the general checker's uid tiebreak exists for.
 ///
-/// `procs[i]` is the process of `ops[i]`.  Groups the operations by process
-/// with a counting sort (record order kept within a process) and walks each
-/// process in invoke order; a process whose records are already in invoke
-/// order -- every recorded run's -- is not sorted.  Two operations of one
-/// process with equal invoke times fail whichever comes first (its response
-/// is at least the shared invoke), so no uid tiebreak is needed.
-bool strictly_gapped_per_process(const std::vector<ViewOp>& ops,
-                                 const std::vector<sim::ProcId>& procs) {
+/// Groups the operations by process with a counting sort (record order kept
+/// within a process) and walks each process in invoke order; a process
+/// whose records are already in invoke order -- every recorded run's -- is
+/// not sorted.  Two operations of one process with equal invoke times fail
+/// whichever comes first (its response is at least the shared invoke), so
+/// no uid tiebreak is needed.
+bool strictly_gapped_per_process(const std::vector<ViewOp>& ops, sim::ProcId lo_proc,
+                                 sim::ProcId hi_proc) {
   // One bucket per id in [lo_proc, hi_proc]; ids spread wider than the
   // history has records go through a sorted table of the distinct ids.
-  const auto [lo_it, hi_it] = std::minmax_element(procs.begin(), procs.end());
-  const sim::ProcId lo_proc = *lo_it;
-  const auto span = static_cast<std::uint64_t>(static_cast<std::int64_t>(*hi_it) - lo_proc) + 1;
-  const bool dense = span <= procs.size();
+  const auto span = static_cast<std::uint64_t>(static_cast<std::int64_t>(hi_proc) - lo_proc) + 1;
+  const bool dense = span <= ops.size();
   std::vector<sim::ProcId> ids;
   if (!dense) {
-    ids = procs;
+    ids.reserve(ops.size());
+    for (const auto& op : ops) ids.push_back(op.proc);
     std::sort(ids.begin(), ids.end());
     ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   }
@@ -50,11 +49,11 @@ bool strictly_gapped_per_process(const std::vector<ViewOp>& ops,
   const std::size_t buckets = dense ? static_cast<std::size_t>(span) : ids.size();
 
   std::vector<std::uint32_t> start(buckets + 1, 0);
-  for (const sim::ProcId p : procs) ++start[bucket(p) + 1];
+  for (const auto& op : ops) ++start[bucket(op.proc) + 1];
   for (std::size_t b = 0; b < buckets; ++b) start[b + 1] += start[b];
   std::vector<std::uint32_t> order(ops.size());
   std::vector<std::uint32_t> cursor(start.begin(), start.end() - 1);
-  for (std::uint32_t i = 0; i < ops.size(); ++i) order[cursor[bucket(procs[i])]++] = i;
+  for (std::uint32_t i = 0; i < ops.size(); ++i) order[cursor[bucket(ops[i].proc)]++] = i;
 
   const auto by_invoke = [&ops](std::uint32_t a, std::uint32_t b) {
     return ops[a].invoke < ops[b].invoke;
@@ -114,10 +113,10 @@ Classification classify(const adt::DataType& type, const std::vector<sim::OpReco
   const bool nil_is_empty = family != adt::MonitorFamily::kRegister;  // a read's nil is a value
   HistoryView view;
   view.ops.reserve(ops.size());
-  std::vector<sim::ProcId> procs;  // for the gap check only: the monitors need no process
-  procs.reserve(ops.size());
   std::vector<RankKey> keys;
   keys.reserve(ops.size() + 1);
+  sim::ProcId lo_proc = std::numeric_limits<sim::ProcId>::max();
+  sim::ProcId hi_proc = std::numeric_limits<sim::ProcId>::min();
   const sim::OpRecord* unsupported = nullptr;
   for (const sim::OpRecord& r : ops) {
     if (!r.complete()) {
@@ -128,6 +127,7 @@ Classification classify(const adt::DataType& type, const std::vector<sim::OpReco
     ViewOp v;
     v.invoke = r.invoke_real;
     v.response = r.response_real;
+    v.proc = r.proc;
     if (r.op == entry->mutator) {
       v.kind = OpKind::kMutator;
       if (!r.ret.is_nil()) view.impossible_return = true;
@@ -147,14 +147,15 @@ Classification classify(const adt::DataType& type, const std::vector<sim::OpReco
       keys.push_back(key_of(r.ret, slot));
     }
     view.ops.push_back(v);
-    procs.push_back(r.proc);
+    lo_proc = std::min(lo_proc, r.proc);
+    hi_proc = std::max(hi_proc, r.proc);
   }
   if (unsupported != nullptr) {
     return fallback(family, "operation '" + unsupported->op + "' is outside the " +
                                 std::string(adt::to_string(family)) +
                                 " monitor's supported set");
   }
-  if (!strictly_gapped_per_process(view.ops, procs)) {
+  if (!strictly_gapped_per_process(view.ops, lo_proc, hi_proc)) {
     return fallback(family, "zero-gap or overlapping intervals within one process");
   }
 

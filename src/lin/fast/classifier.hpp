@@ -37,12 +37,11 @@ enum class OpKind : std::uint8_t {
               ///< unused); contains->0: rank of its arg
 };
 
-/// One record as the monitors see it: its interval, role and value rank.
-/// Its process is not kept -- once the classifier has checked the
-/// per-process gaps, interval order subsumes program order.
+/// One record as the monitors see it.
 struct ViewOp {
   sim::Time invoke = 0;
   sim::Time response = 0;
+  sim::ProcId proc = 0;
   std::uint32_t rank = 0;  ///< dense rank of the record's value (see OpKind)
   OpKind kind = OpKind::kMutator;
 };
