@@ -166,6 +166,7 @@ Classification classify(const adt::DataType& type, const std::vector<sim::OpReco
     v0 = type.initial_state()->apply(adt::RegisterType::kRead, adt::Value::nil());
     keys.push_back(key_of(v0, kInitialSlot));
   }
+  // Every record is in the view by now, so a slot is also a record index.
   const auto value_at = [&](std::uint32_t slot) -> const adt::Value& {
     if (slot == kInitialSlot) return v0;
     const bool keyed_by_arg = accessor_keys_arg || view.ops[slot].kind == OpKind::kMutator;

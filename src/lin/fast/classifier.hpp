@@ -50,8 +50,8 @@ struct ViewOp {
 /// adt::Value order: rank(a) < rank(b) iff a < b, so the priority-queue
 /// sweep can walk values in ascending order by walking ranks.
 struct HistoryView {
-  /// One entry per record, in no particular order (the monitors' verdicts
-  /// depend only on the set of intervals).
+  /// One entry per record, in record order (the monitors' verdicts depend
+  /// only on the set of intervals, not on their order).
   std::vector<ViewOp> ops;
   /// Every rank is below this.
   std::uint32_t num_ranks = 0;
