@@ -13,7 +13,7 @@
 #include "core/algorithm_one.hpp"
 #include "core/timing_policy.hpp"
 #include "harness/runner.hpp"
-#include "lin/checker.hpp"
+#include "lin/check.hpp"
 #include "sim/world.hpp"
 
 namespace {
@@ -76,7 +76,7 @@ int main() {
   std::printf("Ablation 1: event-loop tie-breaking at equal times\n");
   for (const bool timers_first : {false, true}) {
     const auto record = boundary_schedule(timers_first);
-    const bool ok = lin::check_linearizability(queue, record).linearizable;
+    const bool ok = lin::check(queue, record).result.linearizable;
     std::printf("  %-24s -> %s\n",
                 timers_first ? "timers before deliveries" : "deliveries first (model)",
                 ok ? "linearizable" : "NOT linearizable (boundary tie broke Lemma 5)");
@@ -85,7 +85,7 @@ int main() {
   std::printf("\nAblation 2: AOP timestamp back-date (Algorithm 1 line 2, X = 2)\n");
   for (const double backdate : {2.0, 0.0}) {
     const auto record = backdate_schedule(backdate);
-    const bool ok = lin::check_linearizability(queue, record).linearizable;
+    const bool ok = lin::check(queue, record).result.linearizable;
     std::printf("  backdate = %-4g -> peek = %-4s %s\n", backdate,
                 record.ops[2].ret.to_string().c_str(),
                 ok ? "(linearizable)" : "(TORN READ: not linearizable)");
@@ -119,9 +119,10 @@ int main() {
     poison.uid = static_cast<std::uint64_t>(count + 1);
     h.push_back(poison);
     const auto t0 = std::chrono::steady_clock::now();
-    const auto with = lin::check_linearizability(queue, h, {.memoize = true});
+    const auto with = lin::check(queue, h, {.allow_fast_path = false, .memoize = true}).result;
     const auto t1 = std::chrono::steady_clock::now();
-    const auto without = lin::check_linearizability(queue, h, {.memoize = false});
+    const auto without =
+        lin::check(queue, h, {.allow_fast_path = false, .memoize = false}).result;
     const auto t2 = std::chrono::steady_clock::now();
     std::printf("  %-6d %14zu %14zu %12lld %12lld\n", count, with.nodes_expanded,
                 without.nodes_expanded,

@@ -13,7 +13,7 @@
 #include "adt/register_type.hpp"
 #include "clocksync/lundelius_lynch.hpp"
 #include "harness/runner.hpp"
-#include "lin/checker.hpp"
+#include "lin/check.hpp"
 #include "shift/shift.hpp"
 
 namespace {
@@ -72,7 +72,8 @@ void BM_CheckerScaling(benchmark::State& state) {
   spec.scripts = harness::random_scripts(queue, 4, ops_per_proc, 11);
   const auto result = harness::execute(queue, spec);
   for (auto _ : state) {
-    const auto check = lintime::lin::check_linearizability(queue, result.record);
+    const auto check =
+        lintime::lin::check(queue, result.record, {.allow_fast_path = false}).result;
     benchmark::DoNotOptimize(check.linearizable);
   }
   state.SetLabel(std::to_string(result.record.ops.size()) + " ops");
@@ -132,7 +133,6 @@ BENCHMARK(BM_ClockSync)->Arg(4)->Arg(16)->Arg(64);
 #include "core/composite.hpp"
 #include "core/construction.hpp"
 #include "core/sharded_store.hpp"
-#include "lin/check.hpp"
 #include "lin/fast/history_gen.hpp"
 #include "lin/nondet_checker.hpp"
 #include "sim/world.hpp"
@@ -201,7 +201,7 @@ void checker_throughput(benchmark::State& state, int ops_per_proc, unsigned scri
   std::int64_t ops = 0;
   std::int64_t nodes = 0;
   for (auto _ : state) {
-    const auto check = lintime::lin::check_linearizability(type, record);
+    const auto check = lintime::lin::check(type, record, {.allow_fast_path = false}).result;
     benchmark::DoNotOptimize(check.linearizable);
     ops += static_cast<std::int64_t>(record.ops.size());
     nodes += static_cast<std::int64_t>(check.nodes_expanded);

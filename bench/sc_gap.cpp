@@ -10,7 +10,7 @@
 
 #include "adt/queue_type.hpp"
 #include "bench_util.hpp"
-#include "lin/checker.hpp"
+#include "lin/check.hpp"
 #include "lin/sc_checker.hpp"
 
 int main() {
@@ -36,7 +36,7 @@ int main() {
     spec.scripts = harness::random_scripts(queue, params.n, 6, 4242);
     const auto result = harness::execute(queue, spec);
 
-    const auto lin_check = lin::check_linearizability(queue, result.record);
+    const auto lin_check = lin::check(queue, result.record).result;
     const auto sc_check = lin::check_sequential_consistency(queue, result.record);
     std::printf("%-16s  %10.2f  %10.2f  %10.2f  %14s  %6s\n",
                 harness::to_string(algo), result.stats_for("enqueue").max,
@@ -55,7 +55,7 @@ int main() {
         harness::Call{params.eps + 0.1, 1, "peek", Value::nil()},
     };
     const auto result = harness::execute(q2, spec);
-    const auto lin_check = lin::check_linearizability(q2, result.record);
+    const auto lin_check = lin::check(q2, result.record).result;
     const auto sc_check = lin::check_sequential_consistency(q2, result.record);
     std::printf("  %-16s peek -> %-4s  linearizable=%s SC=%s\n", harness::to_string(algo),
                 result.record.ops[1].ret.to_string().c_str(),

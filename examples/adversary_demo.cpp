@@ -16,7 +16,7 @@
 
 #include "adt/queue_type.hpp"
 #include "harness/runner.hpp"
-#include "lin/checker.hpp"
+#include "lin/check.hpp"
 #include "shift/theorems.hpp"
 
 int main() {
@@ -59,7 +59,7 @@ int main() {
     std::printf("  %s\n", op.to_string().c_str());
   }
   const bool zw_linearizable =
-      lintime::lin::check_linearizability(queue, zw_result.record).linearizable;
+      lintime::lin::check(queue, zw_result.record).result.linearizable;
   std::printf("=> zero-wait run linearizable: %s (both dequeues returned the head)\n",
               zw_linearizable ? "yes" : "NO");
 

@@ -12,7 +12,7 @@
 
 #include "adt/tree_type.hpp"
 #include "harness/runner.hpp"
-#include "lin/checker.hpp"
+#include "lin/check.hpp"
 
 int main() {
   using lintime::adt::TreeType;
@@ -69,7 +69,7 @@ int main() {
               result.final_states[0].c_str());
 
   const bool ok =
-      lintime::lin::check_linearizability(tree, result.record).linearizable && converged;
+      lintime::lin::check(tree, result.record).result.linearizable && converged;
   std::printf("linearizable: %s\n", ok ? "YES" : "NO");
   return ok ? 0 : 1;
 }

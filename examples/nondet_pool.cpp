@@ -16,7 +16,7 @@
 
 #include "adt/pool_type.hpp"
 #include "harness/runner.hpp"
-#include "lin/checker.hpp"
+#include "lin/check.hpp"
 #include "lin/nondet_checker.hpp"
 
 int main() {
@@ -49,7 +49,7 @@ int main() {
     std::printf("  %s\n", op.to_string().c_str());
   }
 
-  const auto det = lintime::lin::check_linearizability(pool, result.record);
+  const auto det = lintime::lin::check(pool, result.record).result;
   const auto relaxed = lintime::lin::check_linearizability_nondet(nondet_spec, result.record);
   std::printf("\nlinearizable w.r.t. deterministic (min-take) spec: %s\n",
               det.linearizable ? "YES" : "NO");
@@ -76,7 +76,7 @@ int main() {
   add(0, "put", Value{2}, Value::nil(), 2, 3);
   add(1, "take", Value::nil(), Value{2}, 4, 5);  // non-minimal!
   add(2, "take", Value::nil(), Value{1}, 6, 7);
-  const auto det2 = lintime::lin::check_linearizability(pool, twisted);
+  const auto det2 = lintime::lin::check(pool, twisted).result;
   const auto relaxed2 = lintime::lin::check_linearizability_nondet(nondet_spec, twisted);
   std::printf("\nsequential history put(1).put(2).take->2.take->1:\n");
   std::printf("  deterministic spec: %s, non-deterministic spec: %s\n",

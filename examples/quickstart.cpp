@@ -13,7 +13,7 @@
 
 #include "adt/queue_type.hpp"
 #include "harness/runner.hpp"
-#include "lin/checker.hpp"
+#include "lin/check.hpp"
 
 int main() {
   using lintime::adt::Value;
@@ -52,7 +52,8 @@ int main() {
                 stats.max);
   }
 
-  const auto check = lintime::lin::check_linearizability(queue, result.record);
+  const auto check =
+      lintime::lin::check(queue, result.record, {.allow_fast_path = false}).result;
   std::printf("\nlinearizable: %s\n", check.linearizable ? "YES" : "NO");
   if (check.linearizable) {
     std::printf("witness: %s\n", check.witness_to_string(result.record.ops).c_str());

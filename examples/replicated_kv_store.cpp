@@ -16,7 +16,7 @@
 #include "adt/data_type.hpp"
 #include "adt/state_base.hpp"
 #include "harness/runner.hpp"
-#include "lin/checker.hpp"
+#include "lin/check.hpp"
 
 namespace {
 
@@ -134,7 +134,7 @@ int main() {
   std::printf("\ncompare-and-swap winners: %d (must be exactly 1)\n", cas_wins);
 
   const bool ok =
-      lintime::lin::check_linearizability(kv, result.record).linearizable && cas_wins == 1;
+      lintime::lin::check(kv, result.record).result.linearizable && cas_wins == 1;
   std::printf("linearizable: %s\n", ok ? "YES" : "NO");
   return ok ? 0 : 1;
 }

@@ -14,7 +14,7 @@
 
 #include "adt/queue_type.hpp"
 #include "harness/runner.hpp"
-#include "lin/checker.hpp"
+#include "lin/check.hpp"
 #include "shift/shift.hpp"
 #include "sim/trace_io.hpp"
 
@@ -52,7 +52,7 @@ void inspect(const lintime::sim::RunRecord& record) {
               adm.admissible ? "yes" : "NO", adm.max_skew, adm.min_delay, adm.max_delay);
   for (const auto& v : adm.violations) std::printf("  violation: %s\n", v.detail.c_str());
 
-  const auto check = lintime::lin::check_linearizability(queue, record);
+  const auto check = lintime::lin::check(queue, record, {.allow_fast_path = false}).result;
   std::printf("linearizable: %s (%zu nodes)\n", check.linearizable ? "yes" : "NO",
               check.nodes_expanded);
   if (check.linearizable) {
@@ -67,7 +67,7 @@ void inspect(const lintime::sim::RunRecord& record) {
   std::printf("\nafter shift(p0 += 0.5): admissible: %s", adm2.admissible ? "yes" : "NO");
   if (adm2.admissible) {
     std::printf(", linearizable: %s",
-                lintime::lin::check_linearizability(queue, shifted).linearizable ? "yes" : "NO");
+                lintime::lin::check(queue, shifted).result.linearizable ? "yes" : "NO");
   }
   std::printf("\n");
 }

@@ -9,7 +9,7 @@
 //
 // This module rebuilds that permutation from the recorded run and the
 // per-replica logs, giving an *independent* validator for Algorithm 1:
-// instead of searching for some linearization (lin::check_linearizability),
+// instead of searching for some linearization (lin::check's general route),
 // it checks that the paper's constructed one is legal (Lemma 7) and respects
 // real-time order (Lemma 6), and that every replica executed the mutators in
 // the same timestamp order (Lemma 5).

@@ -1,6 +1,7 @@
 #include "lin/fast/classifier.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <limits>
 
@@ -80,7 +81,8 @@ struct RankKey {
 };
 
 constexpr std::uint32_t kInitialSlot = std::numeric_limits<std::uint32_t>::max();
-constexpr int kIntKind = 1;  // adt::Value::kind_order() of an int
+constexpr int kIntKind = 1;     // adt::Value::kind_order() of an int
+constexpr int kValueKinds = 4;  // nil, int, string, vector
 
 RankKey key_of(const adt::Value& v, std::uint32_t slot) {
   RankKey k;
@@ -118,6 +120,14 @@ Classification classify(const adt::DataType& type, const std::vector<sim::OpReco
   sim::ProcId lo_proc = std::numeric_limits<sim::ProcId>::max();
   sim::ProcId hi_proc = std::numeric_limits<sim::ProcId>::min();
   const sim::OpRecord* unsupported = nullptr;
+  // First slot per (mutator or accessor, argument kind); kInitialSlot until
+  // one is seen.
+  std::array<std::uint32_t, 2 * kValueKinds> first_arg;
+  first_arg.fill(kInitialSlot);
+  const auto sample_arg = [&first_arg, &keys](int role) {
+    std::uint32_t& first = first_arg[role * kValueKinds + keys.back().kind];
+    if (first == kInitialSlot) first = keys.back().slot;
+  };
   for (const sim::OpRecord& r : ops) {
     if (!r.complete()) {
       return fallback(family, "incomplete operation record '" + r.op + "'");
@@ -132,6 +142,7 @@ Classification classify(const adt::DataType& type, const std::vector<sim::OpReco
       v.kind = OpKind::kMutator;
       if (!r.ret.is_nil()) view.impossible_return = true;
       keys.push_back(key_of(r.arg, slot));
+      sample_arg(0);
     } else if (r.op != entry->accessor) {
       unsupported = &r;
       continue;
@@ -140,6 +151,7 @@ Classification classify(const adt::DataType& type, const std::vector<sim::OpReco
       if (!bit) view.impossible_return = true;
       v.kind = bit && r.ret.as_int() == 1 ? OpKind::kAccessor : OpKind::kEmpty;
       keys.push_back(key_of(r.arg, slot));
+      sample_arg(1);
     } else if (nil_is_empty && r.ret.is_nil()) {
       v.kind = OpKind::kEmpty;
     } else {
@@ -211,6 +223,10 @@ Classification classify(const adt::DataType& type, const std::vector<sim::OpReco
   c.family = family;
   c.monitor = entry;
   c.view = std::move(view);
+  for (const std::uint32_t slot : first_arg) {
+    if (slot != kInitialSlot) c.arg_samples.push_back(slot);
+  }
+  std::sort(c.arg_samples.begin(), c.arg_samples.end());
   return c;
 }
 

@@ -73,6 +73,10 @@ struct Classification {
   const MonitorEntry* monitor = nullptr;
   /// The history's ranked view (empty when not eligible).
   HistoryView view;
+  /// The first record of each (operation, argument kind) pair among the
+  /// ranked arguments, in record order (empty when not eligible):
+  /// lin::check holds them to the type's spec before trusting the view.
+  std::vector<std::uint32_t> arg_samples;
 };
 
 /// Classifies `ops` against `type`'s monitor family.  Never throws on

@@ -15,37 +15,27 @@ MonitorRegistry::MonitorRegistry() {
       {MonitorFamily::kRegister,
        adt::RegisterType::kWrite,
        adt::RegisterType::kRead,
-       "distinct written values, none equal to the initial value",
        "duplicate written value (ambiguous read matching)",
-       "O(n log n)",
        &monitor_register},
       {MonitorFamily::kQueue,
        adt::QueueType::kEnqueue,
        adt::QueueType::kDequeue,
-       "distinct enqueued values",
        "duplicate enqueued value",
-       "O(n log n)",
        &monitor_queue},
       {MonitorFamily::kStack,
        adt::StackType::kPush,
        adt::StackType::kPop,
-       "distinct pushed values",
        "duplicate pushed value",
-       "O(n log n)",
        &monitor_stack},
       {MonitorFamily::kSet,
        adt::SetType::kAdd,
        adt::SetType::kContains,
-       "each value added at most once",
        "value added more than once",
-       "O(n log n)",
        &monitor_set},
       {MonitorFamily::kPriorityQueue,
        adt::PriorityQueueType::kInsert,
        adt::PriorityQueueType::kExtractMin,
-       "distinct inserted values",
        "duplicate inserted value",
-       "O(n log n)",
        &monitor_pqueue},
   };
 }

@@ -2,8 +2,7 @@
 // MonitorRegistry: the dispatch table from adt::MonitorFamily to the
 // family's log-linear monitor.  One immutable process-wide instance; the
 // classifier reads each family's operation names from it and hands the
-// matching entry to lin::check() with the ranked view, and the README's
-// checker table lists the same entries (name, operations, complexity).
+// matching entry to lin::check() with the ranked view.
 
 #include <string>
 #include <vector>
@@ -23,12 +22,8 @@ struct MonitorEntry {
   /// other operation of the type falls back to the general checker.
   std::string mutator;   ///< write / enqueue / push / add / insert
   std::string accessor;  ///< read / dequeue / pop / contains / extract_min
-  /// Human-readable unambiguity precondition (docs).
-  std::string precondition;
   /// Fallback reason when two mutators carry the same value.
   std::string duplicate_reason;
-  /// Worst-case complexity, for the README table.
-  std::string complexity;
   MonitorFn run = nullptr;
 };
 
@@ -37,9 +32,6 @@ class MonitorRegistry {
   /// The monitor for `family`, or nullptr when none is registered
   /// (kNone and any future family without a monitor).
   [[nodiscard]] const MonitorEntry* find(adt::MonitorFamily family) const;
-
-  /// All registered monitors, in a fixed order (docs, tests).
-  [[nodiscard]] const std::vector<MonitorEntry>& entries() const { return entries_; }
 
   /// The process-wide registry (immutable after construction).
   [[nodiscard]] static const MonitorRegistry& instance();

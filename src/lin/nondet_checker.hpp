@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "adt/nondet.hpp"
-#include "lin/checker.hpp"
+#include "lin/check.hpp"
 #include "sim/run_record.hpp"
 
 namespace lintime::lin {

@@ -16,12 +16,14 @@
 #include <vector>
 
 #include "adt/data_type.hpp"
-#include "lin/checker.hpp"
+#include "lin/check.hpp"
 #include "sim/run_record.hpp"
 
 namespace lintime::lin {
 
-/// Checks sequential consistency of a complete history.
+/// Checks sequential consistency of a complete history.  Same input contract
+/// as lin::check: throws std::invalid_argument on an incomplete record or an
+/// argument the type's spec rejects.
 [[nodiscard]] CheckResult check_sequential_consistency(const adt::DataType& type,
                                                        const std::vector<sim::OpRecord>& ops);
 

@@ -1,10 +1,14 @@
 #pragma once
-// Internal: the memoized permutation search shared by the linearizability
-// and sequential-consistency checkers, plus the search-state machinery the
-// non-deterministic checker reuses: bitset precedence rows, the packed
-// (placed-set, fingerprint) memo table, and the shared real-time precedence
-// relation.  The two deterministic checkers differ only in the precedence
-// relation the witness permutation must respect.
+// Internal: the memoized permutation search behind lin::check's general
+// route and the sequential-consistency checker, plus the search-state
+// machinery the non-deterministic checker reuses: bitset precedence rows,
+// the packed (placed-set, fingerprint) memo table, and the shared real-time
+// precedence relation.  The two deterministic checkers differ only in the
+// precedence relation the witness permutation must respect.
+//
+// The search is a Wing-Gong DFS over "minimal" candidates (operations none
+// of whose strict predecessors are still unplaced), memoized on (placed-set,
+// canonical object state) so each equivalent node is explored once.
 
 #include <bit>
 #include <cstdint>
@@ -14,7 +18,7 @@
 #include <vector>
 
 #include "adt/data_type.hpp"
-#include "lin/checker.hpp"
+#include "lin/check.hpp"
 #include "sim/run_record.hpp"
 
 namespace lintime::lin::detail {
@@ -183,8 +187,16 @@ class NodeCounter {
   std::size_t count_ = 0;
 };
 
+/// lin::check's input rule: applies `r`'s operation and argument to a fresh
+/// initial state of `type`, and turns a throw from the spec (an int-state
+/// type handed a string, say) into std::invalid_argument naming `r`.
+void require_arg_in_spec(const adt::DataType& type, const sim::OpRecord& r);
+
 /// Searches for a legal permutation of `ops` consistent with `precedes`
-/// (precedes(i, j) == true forces i before j; must be acyclic).
+/// (precedes(i, j) == true forces i before j; must be acyclic).  Throws
+/// std::invalid_argument on an incomplete record or, via
+/// require_arg_in_spec, on the first record of an (operation, argument
+/// kind) pair the spec rejects.  Only options.memoize is read.
 [[nodiscard]] CheckResult search_permutation(
     const adt::DataType& type, const std::vector<sim::OpRecord>& ops,
     const std::function<bool(std::size_t, std::size_t)>& precedes,

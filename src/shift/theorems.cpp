@@ -9,7 +9,7 @@
 
 #include "core/algorithm_one.hpp"
 #include "core/timing_policy.hpp"
-#include "lin/checker.hpp"
+#include "lin/check.hpp"
 #include "shift/render.hpp"
 #include "sim/world.hpp"
 
@@ -223,7 +223,7 @@ ExperimentResult theorem2_pure_accessor(const adt::DataType& type, const Theorem
   details << "transition index j = " << j << " (aop_j at p" << (j % 2) << ")\n";
 
   // R1 itself must be linearizable (the unsafe algorithm looks correct here).
-  const bool r1_ok = lin::check_linearizability(type, r1).linearizable;
+  const bool r1_ok = lin::check(type, r1).result.linearizable;
   details << "R1 linearizable: " << (r1_ok ? "yes" : "NO") << "\n";
 
   // The proof's shift: the process that executed aop_j moves later by u/4,
@@ -248,7 +248,7 @@ ExperimentResult theorem2_pure_accessor(const adt::DataType& type, const Theorem
     details << "R1 (recorded):\n" << render_timeline(r1, ro) << "R2 (shifted):\n"
             << render_timeline(r2, ro);
   }
-  const auto r2_check = lin::check_linearizability(type, r2);
+  const auto r2_check = lin::check(type, r2).result;
   details << "R2 linearizable: " << (r2_check.linearizable ? "yes (NOT the expected violation)"
                                                            : "NO (violation as proven)")
           << "\n";
@@ -268,11 +268,11 @@ ExperimentResult theorem2_pure_accessor(const adt::DataType& type, const Theorem
       TimedCall{t + quarter, 2, spec.mutator_op, spec.mutator_arg}};
   const sim::RunRecord safe_run =
       run_algorithm_one(type, params, safe, {}, delays, safe_calls, safe_scripts);
-  const bool safe_live = lin::check_linearizability(type, safe_run).linearizable;
+  const bool safe_live = lin::check(type, safe_run).result.linearizable;
   const sim::RunRecord safe_shifted = shift_run(safe_run, x);
   const AdmissibilityReport safe_adm = check_admissibility(safe_shifted);
   const bool safe_after_shift =
-      !safe_adm.admissible || lin::check_linearizability(type, safe_shifted).linearizable;
+      !safe_adm.admissible || lin::check(type, safe_shifted).result.linearizable;
   result.safe_survived = safe_live && safe_after_shift;
   details << "standard Algorithm 1: live " << (safe_live ? "linearizable" : "VIOLATED")
           << ", after same shift "
@@ -366,7 +366,7 @@ ExperimentResult theorem3_last_sensitive(const adt::DataType& type, const Theore
   result.unsafe_latency = unsafe.mop_respond;
 
   const sim::RunRecord unsafe_run = run_with(unsafe);
-  const auto unsafe_check = lin::check_linearizability(type, unsafe_run);
+  const auto unsafe_check = lin::check(type, unsafe_run).result;
   result.unsafe_violated = !unsafe_check.linearizable;
   {
     // The Figure 1 timeline: the k concurrent instances under the shifted
@@ -394,7 +394,7 @@ ExperimentResult theorem3_last_sensitive(const adt::DataType& type, const Theore
 
   TimingPolicy safe = TimingPolicy::standard(params, /*X=*/0);
   const sim::RunRecord safe_run = run_with(safe);
-  result.safe_survived = lin::check_linearizability(type, safe_run).linearizable;
+  result.safe_survived = lin::check(type, safe_run).result.linearizable;
   details << "standard Algorithm 1 (|MOP| = eps = " << safe.mop_respond
           << "): " << (result.safe_survived ? "linearizable" : "VIOLATED") << "\n";
 
@@ -464,7 +464,7 @@ ExperimentResult theorem4_pair_free(const adt::DataType& type, const Theorem4Spe
 
   const sim::RunRecord unsafe_run =
       run_algorithm_one(type, params, unsafe, offsets, delays, calls, scripts);
-  const auto unsafe_check = lin::check_linearizability(type, unsafe_run);
+  const auto unsafe_check = lin::check(type, unsafe_run).result;
   result.unsafe_violated = !unsafe_check.linearizable;
   {
     RenderOptions ro;
@@ -481,7 +481,7 @@ ExperimentResult theorem4_pair_free(const adt::DataType& type, const Theorem4Spe
   TimingPolicy safe = TimingPolicy::standard(params, /*X=*/0);
   const sim::RunRecord safe_run =
       run_algorithm_one(type, params, safe, offsets, delays, calls, scripts);
-  result.safe_survived = lin::check_linearizability(type, safe_run).linearizable;
+  result.safe_survived = lin::check(type, safe_run).result.linearizable;
   details << "standard Algorithm 1 (|OOP| = " << safe.oop_bound()
           << "): " << (result.safe_survived ? "linearizable" : "VIOLATED") << "\n";
 
@@ -636,7 +636,7 @@ ExperimentResult theorem5_sum(const adt::DataType& type, const Theorem5Spec& spe
 
   const sim::RunRecord unsafe_run =
       run_algorithm_one(type, params, unsafe, offsets, delays, calls, scripts);
-  const auto unsafe_check = lin::check_linearizability(type, unsafe_run);
+  const auto unsafe_check = lin::check(type, unsafe_run).result;
   result.unsafe_violated = !unsafe_check.linearizable;
   {
     RenderOptions ro;
@@ -693,7 +693,7 @@ ExperimentResult theorem5_sum(const adt::DataType& type, const Theorem5Spec& spe
   };
   const sim::RunRecord safe_run =
       run_algorithm_one(type, params, safe, offsets, delays, safe_calls, scripts);
-  result.safe_survived = lin::check_linearizability(type, safe_run).linearizable;
+  result.safe_survived = lin::check(type, safe_run).result.linearizable;
   details << "standard Algorithm 1 (sum = " << safe.mop_bound() + safe.aop_bound()
           << "): " << (result.safe_survived ? "linearizable" : "VIOLATED") << "\n";
 
@@ -857,7 +857,7 @@ ExperimentResult interference_sum(const adt::DataType& type, const InterferenceS
   std::ostringstream details;
 
   const sim::RunRecord unsafe_run = run_with(unsafe);
-  const auto unsafe_check = lin::check_linearizability(type, unsafe_run);
+  const auto unsafe_check = lin::check(type, unsafe_run).result;
   result.unsafe_violated = !unsafe_check.linearizable;
   {
     RenderOptions ro;
@@ -871,7 +871,7 @@ ExperimentResult interference_sum(const adt::DataType& type, const InterferenceS
           << "\n";
 
   const sim::RunRecord safe_run = run_with(TimingPolicy::standard(params, 0.0));
-  result.safe_survived = lin::check_linearizability(type, safe_run).linearizable;
+  result.safe_survived = lin::check(type, safe_run).result.linearizable;
   details << "standard Algorithm 1 (sum = " << fmt(params.d + params.eps)
           << "): " << (result.safe_survived ? "linearizable" : "VIOLATED") << "\n";
 
@@ -1044,8 +1044,8 @@ Theorem4Pipeline theorem4_full_pipeline(const adt::DataType& type, const Theorem
 
   // The punchline: with identical views p1 answers identically, so R4 or R5
   // must be non-linearizable.
-  const bool r4_ok = lin::check_linearizability(type, r4).linearizable;
-  const bool r5_ok = lin::check_linearizability(type, r5).linearizable;
+  const bool r4_ok = lin::check(type, r4).result.linearizable;
+  const bool r5_ok = lin::check(type, r5).result.linearizable;
   result.contradiction = !(r4_ok && r5_ok);
   details << "checker: R4 " << (r4_ok ? "linearizable" : "NOT linearizable") << ", R5 "
           << (r5_ok ? "linearizable" : "NOT linearizable") << " -> contradiction "
@@ -1102,7 +1102,7 @@ Theorem5Pipeline theorem5_full_pipeline(const adt::DataType& type, const Theorem
        TimedCall{t_max, 0, spec.aop, spec.aop_arg}, TimedCall{t_max, 1, spec.aop, spec.aop_arg},
        TimedCall{t_max + m, 2, spec.aop, spec.aop_arg}},
       scripts);
-  result.r1_linearizable = lin::check_linearizability(type, r1).linearizable;
+  result.r1_linearizable = lin::check(type, r1).result.linearizable;
   details << "R1 linearizable: " << (result.r1_linearizable ? "yes" : "NO") << "\n";
 
   // ---- R2: p0 shifted later by m, the invalid edge p0->p1 repaired to d
@@ -1161,9 +1161,9 @@ Theorem5Pipeline theorem5_full_pipeline(const adt::DataType& type, const Theorem
   details << "p1 view identity R2/R3 through aop response: "
           << (result.view_identity_r2_r3 ? "HOLDS" : "FAILS") << "\n";
 
-  const bool r2_ok = lin::check_linearizability(type, r2).linearizable;
+  const bool r2_ok = lin::check(type, r2).result.linearizable;
   result.r2_violated = !r2_ok;
-  result.r3_linearizable = lin::check_linearizability(type, r3).linearizable;
+  result.r3_linearizable = lin::check(type, r3).result.linearizable;
   details << "checker: R2 " << (r2_ok ? "linearizable (unexpected)" : "NOT linearizable")
           << ", R3 " << (result.r3_linearizable ? "linearizable" : "NOT linearizable") << "\n";
 

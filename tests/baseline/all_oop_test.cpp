@@ -7,7 +7,7 @@
 
 #include "adt/queue_type.hpp"
 #include "harness/runner.hpp"
-#include "lin/checker.hpp"
+#include "lin/check.hpp"
 
 namespace lintime::baseline {
 namespace {
@@ -59,7 +59,7 @@ TEST(AllOopBaselineTest, StillLinearizableUnderRandomWorkload) {
   spec.delays = std::make_shared<sim::UniformRandomDelay>(8.0, 10.0, 3);
   spec.scripts = harness::random_scripts(queue, 3, 4, 21);
   const auto result = harness::execute(queue, spec);
-  EXPECT_TRUE(lin::check_linearizability(queue, result.record).linearizable);
+  EXPECT_TRUE(lin::check(queue, result.record).result.linearizable);
 }
 
 TEST(AllOopBaselineTest, SlowerThanSpecializedAlgorithmForAccessors) {

@@ -8,7 +8,7 @@
 #include "adt/queue_type.hpp"
 #include "adt/register_type.hpp"
 #include "harness/runner.hpp"
-#include "lin/checker.hpp"
+#include "lin/check.hpp"
 
 namespace lintime::baseline {
 namespace {
@@ -62,7 +62,7 @@ TEST(CentralizedTest, ConcurrentOpsLinearizable) {
   spec.delays = std::make_shared<sim::UniformRandomDelay>(8.0, 10.0, 5);
   spec.scripts = harness::random_scripts(queue, 4, 5, 77);
   const auto result = harness::execute(queue, spec);
-  EXPECT_TRUE(lin::check_linearizability(queue, result.record).linearizable);
+  EXPECT_TRUE(lin::check(queue, result.record).result.linearizable);
 }
 
 TEST(CentralizedTest, WorstCaseLatencyBoundedByTwoD) {

@@ -10,7 +10,7 @@
 #include "adt/register_type.hpp"
 #include "adt/rmw_register_type.hpp"
 #include "harness/runner.hpp"
-#include "lin/checker.hpp"
+#include "lin/check.hpp"
 #include "lin/sc_checker.hpp"
 
 namespace lintime::baseline {
@@ -67,7 +67,7 @@ TEST(SeqConsistentTest, RemoteReadMayBeStaleButScHolds) {
   };
   const auto result = harness::execute(reg, spec);
   EXPECT_EQ(result.record.ops[1].ret, Value{0});  // stale
-  EXPECT_FALSE(lin::check_linearizability(reg, result.record).linearizable);
+  EXPECT_FALSE(lin::check(reg, result.record).result.linearizable);
   EXPECT_TRUE(lin::check_sequential_consistency(reg, result.record).linearizable);
 }
 

@@ -9,7 +9,7 @@
 #include "adt/queue_type.hpp"
 #include "adt/register_type.hpp"
 #include "harness/runner.hpp"
-#include "lin/checker.hpp"
+#include "lin/check.hpp"
 
 namespace lintime::baseline {
 namespace {
@@ -59,7 +59,7 @@ TEST(ZeroWaitTest, StaleReadViolatesLinearizability) {
   };
   const auto result = harness::execute(reg, spec);
   EXPECT_EQ(result.record.ops[1].ret, Value{0});  // stale
-  EXPECT_FALSE(lin::check_linearizability(reg, result.record).linearizable);
+  EXPECT_FALSE(lin::check(reg, result.record).result.linearizable);
 }
 
 TEST(ZeroWaitTest, DoubleDequeueViolatesLinearizability) {
@@ -76,7 +76,7 @@ TEST(ZeroWaitTest, DoubleDequeueViolatesLinearizability) {
   const auto result = harness::execute(queue, spec);
   EXPECT_EQ(result.record.ops[1].ret, Value{1});
   EXPECT_EQ(result.record.ops[2].ret, Value{1});  // duplicated delivery
-  EXPECT_FALSE(lin::check_linearizability(queue, result.record).linearizable);
+  EXPECT_FALSE(lin::check(queue, result.record).result.linearizable);
 }
 
 }  // namespace

@@ -10,7 +10,7 @@
 #include "adt/queue_type.hpp"
 #include "core/algorithm_one.hpp"
 #include "core/timing_policy.hpp"
-#include "lin/checker.hpp"
+#include "lin/check.hpp"
 #include "sim/world.hpp"
 
 namespace lintime::core {
@@ -52,7 +52,7 @@ sim::RunRecord run_boundary_schedule(bool timers_first) {
 TEST(TieBreakAblation, ModelRuleKeepsBoundaryTieLinearizable) {
   adt::QueueType queue;
   const auto record = run_boundary_schedule(/*timers_first=*/false);
-  EXPECT_TRUE(lin::check_linearizability(queue, record).linearizable);
+  EXPECT_TRUE(lin::check(queue, record).result.linearizable);
   // Exactly one dequeue returns the head.
   int sevens = 0;
   for (const auto& op : record.ops) {
@@ -69,7 +69,7 @@ TEST(TieBreakAblation, TimersFirstDoubleDeliversTheHead) {
     if (op.op == "dequeue" && op.ret == Value{7}) ++sevens;
   }
   EXPECT_EQ(sevens, 2);  // both dequeues claim the head
-  EXPECT_FALSE(lin::check_linearizability(queue, record).linearizable);
+  EXPECT_FALSE(lin::check(queue, record).result.linearizable);
 }
 
 // ---------------------------------------------------------------------------
@@ -119,7 +119,7 @@ TEST(BackdateAblation, LineTwoBackdateKeepsAccessorConsistent) {
   // Back-dated ts = 48 < both enqueues: the peek sees neither and returns
   // nil -- consistent (it is concurrent with both).
   EXPECT_EQ(record.ops[2].ret, Value::nil());
-  EXPECT_TRUE(lin::check_linearizability(queue, record).linearizable);
+  EXPECT_TRUE(lin::check(queue, record).result.linearizable);
 }
 
 TEST(BackdateAblation, NoBackdateYieldsTornReadAndDivergence) {
@@ -132,7 +132,7 @@ TEST(BackdateAblation, NoBackdateYieldsTornReadAndDivergence) {
   // element 1 -- double delivery, and no linearization exists.
   EXPECT_EQ(record.ops[3].ret, Value{1});
   EXPECT_EQ(record.ops[4].ret, Value{1});
-  EXPECT_FALSE(lin::check_linearizability(queue, record).linearizable);
+  EXPECT_FALSE(lin::check(queue, record).result.linearizable);
 }
 
 }  // namespace

@@ -13,7 +13,7 @@
 #include "adt/rmw_register_type.hpp"
 #include "core/timing_policy.hpp"
 #include "harness/runner.hpp"
-#include "lin/checker.hpp"
+#include "lin/check.hpp"
 
 namespace lintime::core {
 namespace {
@@ -111,7 +111,7 @@ TEST(AlgorithmOneTest, SkewedClocksStillLinearizable) {
       Call{40.0, 3, "peek", Value::nil()},
   };
   const auto result = harness::execute(queue, spec);
-  EXPECT_TRUE(lin::check_linearizability(queue, result.record).linearizable);
+  EXPECT_TRUE(lin::check(queue, result.record).result.linearizable);
 }
 
 TEST(AlgorithmOneTest, ExecutedMutatorsInTimestampOrderLemma5) {
@@ -162,7 +162,7 @@ TEST(AlgorithmOneTest, AopTimestampBackdatedByX) {
   };
   const auto result = harness::execute(reg, spec);
   EXPECT_EQ(result.record.ops[1].ret, Value{1});
-  EXPECT_TRUE(lin::check_linearizability(reg, result.record).linearizable);
+  EXPECT_TRUE(lin::check(reg, result.record).result.linearizable);
 }
 
 TEST(AlgorithmOneTest, InvalidXRejected) {

@@ -11,7 +11,7 @@
 #include "adt/queue_type.hpp"
 #include "adt/register_type.hpp"
 #include "harness/runner.hpp"
-#include "lin/checker.hpp"
+#include "lin/check.hpp"
 #include "sim/world.hpp"
 
 namespace lintime::core {
@@ -136,14 +136,14 @@ TEST(CompositeTest, LocalityCombinedAndRestrictionsAgree) {
   const auto run = run_composite(product, params, calls);
 
   // Combined history against the product spec.
-  EXPECT_TRUE(lin::check_linearizability(product, run.record).linearizable);
+  EXPECT_TRUE(lin::check(product, run.record).result.linearizable);
 
   // Each restriction against its component spec (locality).
   const auto queue_ops = restrict_to_object(run.record.ops, 0);
   const auto reg_ops = restrict_to_object(run.record.ops, 1);
   EXPECT_EQ(queue_ops.size() + reg_ops.size(), run.record.ops.size());
-  EXPECT_TRUE(lin::check_linearizability(queue, queue_ops).linearizable);
-  EXPECT_TRUE(lin::check_linearizability(reg, reg_ops).linearizable);
+  EXPECT_TRUE(lin::check(queue, queue_ops).result.linearizable);
+  EXPECT_TRUE(lin::check(reg, reg_ops).result.linearizable);
 }
 
 TEST(CompositeTest, RestrictionStripsQualification) {

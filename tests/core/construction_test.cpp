@@ -13,7 +13,7 @@
 #include "adt/tree_type.hpp"
 #include "core/timing_policy.hpp"
 #include "harness/runner.hpp"
-#include "lin/checker.hpp"
+#include "lin/check.hpp"
 #include "sim/world.hpp"
 
 namespace lintime::core {
@@ -177,7 +177,7 @@ TEST_P(ConstructionSweep, AgreesWithSearchChecker) {
   const auto c = build_construction(queue, r.replicas, r.record);
   EXPECT_TRUE(c.valid()) << c.details;
   // And the search-based checker agrees the run is linearizable.
-  EXPECT_TRUE(lin::check_linearizability(queue, r.record).linearizable);
+  EXPECT_TRUE(lin::check(queue, r.record).result.linearizable);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ConstructionSweep,

@@ -9,7 +9,7 @@
 #include "adt/queue_type.hpp"
 #include "adt/register_type.hpp"
 #include "harness/runner.hpp"
-#include "lin/checker.hpp"
+#include "lin/check.hpp"
 
 namespace lintime::core {
 namespace {
@@ -30,7 +30,7 @@ TEST(EdgeParamsTest, ZeroUncertaintyZeroSkewInstantWrites) {
   };
   const auto result = harness::execute(reg, spec);
   EXPECT_DOUBLE_EQ(result.stats_for("write").max, 0.0);  // X + eps = 0
-  EXPECT_TRUE(lin::check_linearizability(reg, result.record).linearizable);
+  EXPECT_TRUE(lin::check(reg, result.record).result.linearizable);
   EXPECT_EQ(result.record.ops[2].ret, Value{5});
 }
 
@@ -42,7 +42,7 @@ TEST(EdgeParamsTest, ZeroUncertaintyRandomWorkloadsLinearizable) {
     spec.X = 0.0;
     spec.scripts = harness::random_scripts(queue, 3, 4, seed);
     const auto result = harness::execute(queue, spec);
-    EXPECT_TRUE(lin::check_linearizability(queue, result.record).linearizable) << seed;
+    EXPECT_TRUE(lin::check(queue, result.record).result.linearizable) << seed;
     for (const auto& s : result.final_states) EXPECT_EQ(s, result.final_states[0]);
   }
 }
@@ -63,7 +63,7 @@ TEST(EdgeParamsTest, XAtUpperEndWithZeroSkew) {
   EXPECT_DOUBLE_EQ(result.stats_for("peek").max, 0.0);
   EXPECT_DOUBLE_EQ(result.stats_for("enqueue").max, spec.params.d);
   EXPECT_EQ(result.record.ops[1].ret, Value{1});
-  EXPECT_TRUE(lin::check_linearizability(queue, result.record).linearizable);
+  EXPECT_TRUE(lin::check(queue, result.record).result.linearizable);
 }
 
 TEST(EdgeParamsTest, TwoProcessesMinimumSystem) {
@@ -75,7 +75,7 @@ TEST(EdgeParamsTest, TwoProcessesMinimumSystem) {
     spec.clock_offsets = {0.5, -0.5};
     spec.scripts = harness::random_scripts(queue, 2, 5, seed * 11);
     const auto result = harness::execute(queue, spec);
-    EXPECT_TRUE(lin::check_linearizability(queue, result.record).linearizable) << seed;
+    EXPECT_TRUE(lin::check(queue, result.record).result.linearizable) << seed;
   }
 }
 
@@ -88,7 +88,7 @@ TEST(EdgeParamsTest, UEqualsDFullUncertainty) {
   spec.clock_offsets = {1.0, -1.0, 0.0};
   spec.scripts = harness::random_scripts(queue, 3, 5, 19);
   const auto result = harness::execute(queue, spec);
-  EXPECT_TRUE(lin::check_linearizability(queue, result.record).linearizable);
+  EXPECT_TRUE(lin::check(queue, result.record).result.linearizable);
 }
 
 TEST(EdgeParamsTest, InvalidParamsRejected) {

@@ -19,7 +19,7 @@
 #include "adt/stack_type.hpp"
 #include "adt/tree_type.hpp"
 #include "harness/runner.hpp"
-#include "lin/checker.hpp"
+#include "lin/check.hpp"
 
 namespace lintime::core {
 namespace {
@@ -96,7 +96,7 @@ TEST_P(LinearizabilityPropertyTest, AllRunsLinearizableAndConvergent) {
   EXPECT_EQ(result.record.ops.size(), static_cast<std::size_t>(n) * 4);
 
   // Linearizable.
-  const auto check = lin::check_linearizability(*type, result.record);
+  const auto check = lin::check(*type, result.record).result;
   EXPECT_TRUE(check.linearizable)
       << type->name() << " run not linearizable (n=" << n << ", X=" << spec.X
       << ", delay_mode=" << delay_mode << ", seed=" << seed << ")";

@@ -6,7 +6,7 @@
 #include "adt/queue_type.hpp"
 #include "core/timing_policy.hpp"
 #include "harness/runner.hpp"
-#include "lin/checker.hpp"
+#include "lin/check.hpp"
 
 namespace lintime::harness {
 namespace {
@@ -43,7 +43,7 @@ TEST(TimingOverrideTest, UnsafeOopLatencyBreaksConcurrentDequeues) {
   const auto result = execute(queue, spec);
   EXPECT_EQ(result.record.ops[1].ret, Value{7});
   EXPECT_EQ(result.record.ops[2].ret, Value{7});  // both claim the head
-  EXPECT_FALSE(lin::check_linearizability(queue, result.record).linearizable);
+  EXPECT_FALSE(lin::check(queue, result.record).result.linearizable);
 }
 
 TEST(TimingOverrideTest, DefaultDerivesFromX) {

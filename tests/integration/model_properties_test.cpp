@@ -13,7 +13,7 @@
 #include "core/algorithm_one.hpp"
 #include "core/timing_policy.hpp"
 #include "harness/runner.hpp"
-#include "lin/checker.hpp"
+#include "lin/check.hpp"
 #include "sim/world.hpp"
 
 namespace lintime {
@@ -95,7 +95,7 @@ TEST(ModelPropertiesTest, ClockSyncThenAlgorithmOnePipeline) {
   spec.scripts = harness::random_scripts(queue, 5, 4, 55);
   const auto result = harness::execute(queue, spec);
 
-  EXPECT_TRUE(lin::check_linearizability(queue, result.record).linearizable);
+  EXPECT_TRUE(lin::check(queue, result.record).result.linearizable);
   for (const auto& state : result.final_states) EXPECT_EQ(state, result.final_states[0]);
 }
 

@@ -13,7 +13,7 @@
 #include "adt/stack_type.hpp"
 #include "adt/tree_type.hpp"
 #include "harness/runner.hpp"
-#include "lin/checker.hpp"
+#include "lin/check.hpp"
 
 namespace lintime {
 namespace {
@@ -51,7 +51,7 @@ TEST_P(TableTest, Table1RmwRegisterUpperBounds) {
   EXPECT_NEAR(result.stats_for("read").max, p.d - X, 1e-9);
   EXPECT_NEAR(result.stats_for("write").max, X + p.eps, 1e-9);
   EXPECT_LE(result.stats_for("fetch_add").max, p.d + p.eps + 1e-9);
-  EXPECT_TRUE(lin::check_linearizability(reg, result.record).linearizable);
+  EXPECT_TRUE(lin::check(reg, result.record).result.linearizable);
 }
 
 TEST_P(TableTest, Table2QueueUpperBounds) {
@@ -62,7 +62,7 @@ TEST_P(TableTest, Table2QueueUpperBounds) {
   EXPECT_NEAR(result.stats_for("peek").max, p.d - X, 1e-9);
   EXPECT_NEAR(result.stats_for("enqueue").max, X + p.eps, 1e-9);
   EXPECT_LE(result.stats_for("dequeue").max, p.d + p.eps + 1e-9);
-  EXPECT_TRUE(lin::check_linearizability(queue, result.record).linearizable);
+  EXPECT_TRUE(lin::check(queue, result.record).result.linearizable);
 }
 
 TEST_P(TableTest, Table3StackUpperBounds) {
@@ -73,7 +73,7 @@ TEST_P(TableTest, Table3StackUpperBounds) {
   EXPECT_NEAR(result.stats_for("peek").max, p.d - X, 1e-9);
   EXPECT_NEAR(result.stats_for("push").max, X + p.eps, 1e-9);
   EXPECT_LE(result.stats_for("pop").max, p.d + p.eps + 1e-9);
-  EXPECT_TRUE(lin::check_linearizability(st, result.record).linearizable);
+  EXPECT_TRUE(lin::check(st, result.record).result.linearizable);
 }
 
 TEST_P(TableTest, Table4TreeUpperBounds) {
@@ -84,7 +84,7 @@ TEST_P(TableTest, Table4TreeUpperBounds) {
   EXPECT_NEAR(result.stats_for("depth").max, p.d - X, 1e-9);
   EXPECT_NEAR(result.stats_for("insert").max, X + p.eps, 1e-9);
   EXPECT_NEAR(result.stats_for("remove").max, X + p.eps, 1e-9);
-  EXPECT_TRUE(lin::check_linearizability(tree, result.record).linearizable);
+  EXPECT_TRUE(lin::check(tree, result.record).result.linearizable);
 }
 
 INSTANTIATE_TEST_SUITE_P(XValues, TableTest, ::testing::Values(0.0, 4.2, 8.4),

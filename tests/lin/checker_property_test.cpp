@@ -10,7 +10,7 @@
 #include "adt/queue_type.hpp"
 #include "adt/register_type.hpp"
 #include "harness/runner.hpp"
-#include "lin/checker.hpp"
+#include "lin/check.hpp"
 #include "lin/sc_checker.hpp"
 
 namespace lintime::lin {
@@ -55,8 +55,8 @@ TEST(CheckerPropertyTest, MemoizedAgreesWithReferenceOnRandomHistories) {
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     for (const int per_proc : {1, 2, 3}) {
       const auto h = random_history(seed * 10 + per_proc, 3, per_proc);
-      const auto with = check_linearizability(queue, h, {.memoize = true});
-      const auto without = check_linearizability(queue, h, {.memoize = false});
+      const auto with = check(queue, h, {.allow_fast_path = false, .memoize = true}).result;
+      const auto without = check(queue, h, {.allow_fast_path = false, .memoize = false}).result;
       EXPECT_EQ(with.linearizable, without.linearizable) << "seed " << seed;
       if (with.linearizable) ++linearizable_count;
       ++total;
@@ -71,7 +71,7 @@ TEST(CheckerPropertyTest, WitnessReplaysLegallyAndRespectsPrecedence) {
   adt::QueueType queue;
   for (std::uint64_t seed = 1; seed <= 60; ++seed) {
     const auto h = random_history(seed, 3, 3);
-    const auto result = check_linearizability(queue, h);
+    const auto result = check(queue, h, {.allow_fast_path = false}).result;
     if (!result.linearizable) continue;
     ASSERT_EQ(result.witness.size(), h.size());
 
@@ -97,7 +97,7 @@ TEST(CheckerPropertyTest, LinearizableImpliesSequentiallyConsistent) {
   adt::QueueType queue;
   for (std::uint64_t seed = 1; seed <= 60; ++seed) {
     const auto h = random_history(seed, 3, 3);
-    if (check_linearizability(queue, h).linearizable) {
+    if (check(queue, h).result.linearizable) {
       EXPECT_TRUE(check_sequential_consistency(queue, h).linearizable) << "seed " << seed;
     }
   }
@@ -111,8 +111,10 @@ TEST(CheckerPropertyTest, AlgorithmRunsAlwaysAgreeAcrossCheckerModes) {
     spec.delays = std::make_shared<sim::UniformRandomDelay>(8.0, 10.0, seed);
     spec.scripts = harness::random_scripts(reg, 3, 4, seed * 3);
     const auto record = harness::execute(reg, spec).record;
-    EXPECT_TRUE(check_linearizability(reg, record.ops, {.memoize = true}).linearizable);
-    EXPECT_TRUE(check_linearizability(reg, record.ops, {.memoize = false}).linearizable);
+    for (const bool memoize : {true, false}) {
+      const CheckOptions search{.allow_fast_path = false, .memoize = memoize};
+      EXPECT_TRUE(check(reg, record.ops, search).result.linearizable);
+    }
     EXPECT_TRUE(check_sequential_consistency(reg, record).linearizable);
   }
 }
@@ -121,8 +123,8 @@ TEST(CheckerPropertyTest, NodesExpandedNeverLargerWithMemo) {
   adt::QueueType queue;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     const auto h = random_history(seed, 3, 3);
-    const auto with = check_linearizability(queue, h, {.memoize = true});
-    const auto without = check_linearizability(queue, h, {.memoize = false});
+    const auto with = check(queue, h, {.allow_fast_path = false, .memoize = true}).result;
+    const auto without = check(queue, h, {.allow_fast_path = false, .memoize = false}).result;
     EXPECT_LE(with.nodes_expanded, without.nodes_expanded) << "seed " << seed;
   }
 }

@@ -1,6 +1,6 @@
 // Unit tests for the linearizability checker on hand-crafted histories.
 
-#include "lin/checker.hpp"
+#include "lin/check.hpp"
 
 #include <gtest/gtest.h>
 
@@ -27,7 +27,7 @@ OpRecord op(sim::ProcId proc, const std::string& name, Value arg, Value ret, dou
 
 TEST(CheckerTest, EmptyHistoryIsLinearizable) {
   adt::RegisterType reg;
-  EXPECT_TRUE(check_linearizability(reg, std::vector<OpRecord>{}).linearizable);
+  EXPECT_TRUE(check(reg, std::vector<OpRecord>{}).result.linearizable);
 }
 
 TEST(CheckerTest, SequentialLegalHistory) {
@@ -36,7 +36,7 @@ TEST(CheckerTest, SequentialLegalHistory) {
       op(0, "write", 5, Value::nil(), 0, 1),
       op(1, "read", Value::nil(), 5, 2, 3),
   };
-  EXPECT_TRUE(check_linearizability(reg, h).linearizable);
+  EXPECT_TRUE(check(reg, h).result.linearizable);
 }
 
 TEST(CheckerTest, SequentialIllegalHistory) {
@@ -45,7 +45,7 @@ TEST(CheckerTest, SequentialIllegalHistory) {
       op(0, "write", 5, Value::nil(), 0, 1),
       op(1, "read", Value::nil(), 7, 2, 3),  // wrong value
   };
-  EXPECT_FALSE(check_linearizability(reg, h).linearizable);
+  EXPECT_FALSE(check(reg, h).result.linearizable);
 }
 
 TEST(CheckerTest, StaleReadAfterCompletedWriteIsIllegal) {
@@ -54,7 +54,7 @@ TEST(CheckerTest, StaleReadAfterCompletedWriteIsIllegal) {
       op(0, "write", 5, Value::nil(), 0, 1),
       op(1, "read", Value::nil(), 0, 2, 3),  // must have seen the write
   };
-  EXPECT_FALSE(check_linearizability(reg, h).linearizable);
+  EXPECT_FALSE(check(reg, h).result.linearizable);
 }
 
 TEST(CheckerTest, StaleReadConcurrentWithWriteIsLegal) {
@@ -63,7 +63,7 @@ TEST(CheckerTest, StaleReadConcurrentWithWriteIsLegal) {
       op(0, "write", 5, Value::nil(), 0, 10),
       op(1, "read", Value::nil(), 0, 2, 3),  // overlaps the write: may precede it
   };
-  EXPECT_TRUE(check_linearizability(reg, h).linearizable);
+  EXPECT_TRUE(check(reg, h).result.linearizable);
 }
 
 TEST(CheckerTest, ConcurrentReadsMayDisagreeOnlyInRealTimeOrder) {
@@ -76,7 +76,7 @@ TEST(CheckerTest, ConcurrentReadsMayDisagreeOnlyInRealTimeOrder) {
       op(1, "read", Value::nil(), 5, 2, 3),
       op(2, "read", Value::nil(), 0, 4, 6),
   };
-  EXPECT_FALSE(check_linearizability(reg, h).linearizable);
+  EXPECT_FALSE(check(reg, h).result.linearizable);
 }
 
 TEST(CheckerTest, NewOldInversionAllowedWhileWritePending) {
@@ -87,7 +87,7 @@ TEST(CheckerTest, NewOldInversionAllowedWhileWritePending) {
       op(1, "read", Value::nil(), 0, 2, 3),
       op(2, "read", Value::nil(), 5, 4, 6),
   };
-  EXPECT_TRUE(check_linearizability(reg, h).linearizable);
+  EXPECT_TRUE(check(reg, h).result.linearizable);
 }
 
 TEST(CheckerTest, DoubleDequeueOfSameElementIllegal) {
@@ -97,7 +97,7 @@ TEST(CheckerTest, DoubleDequeueOfSameElementIllegal) {
       op(1, "dequeue", Value::nil(), 1, 2, 3),
       op(2, "dequeue", Value::nil(), 1, 2.5, 3.5),
   };
-  EXPECT_FALSE(check_linearizability(queue, h).linearizable);
+  EXPECT_FALSE(check(queue, h).result.linearizable);
 }
 
 TEST(CheckerTest, ConcurrentDequeuesOfDistinctElementsLegal) {
@@ -108,7 +108,7 @@ TEST(CheckerTest, ConcurrentDequeuesOfDistinctElementsLegal) {
       op(1, "dequeue", Value::nil(), 2, 3, 4),
       op(2, "dequeue", Value::nil(), 1, 3, 4),
   };
-  EXPECT_TRUE(check_linearizability(queue, h).linearizable);
+  EXPECT_TRUE(check(queue, h).result.linearizable);
 }
 
 TEST(CheckerTest, WitnessIsALegalLinearization) {
@@ -118,7 +118,7 @@ TEST(CheckerTest, WitnessIsALegalLinearization) {
       op(1, "enqueue", 2, Value::nil(), 0, 5),
       op(2, "dequeue", Value::nil(), 2, 6, 7),
   };
-  const auto result = check_linearizability(queue, h);
+  const auto result = check(queue, h, {.allow_fast_path = false}).result;
   ASSERT_TRUE(result.linearizable);
   ASSERT_EQ(result.witness.size(), 3u);
   // The witness must start with enqueue(2) for dequeue to return 2.
@@ -137,15 +137,14 @@ TEST(CheckerTest, RealTimeOrderRespectedAcrossProcesses) {
       op(1, "enqueue", 2, Value::nil(), 2, 3),
       op(2, "dequeue", Value::nil(), 2, 4, 5),
   };
-  EXPECT_FALSE(check_linearizability(queue, h).linearizable);
+  EXPECT_FALSE(check(queue, h).result.linearizable);
 }
 
 TEST(CheckerTest, IncompleteRecordThrows) {
   adt::RegisterType reg;
   OpRecord pending = op(0, "read", Value::nil(), Value::nil(), 5, 6);
   pending.response_real = -1;
-  EXPECT_THROW((void)check_linearizability(reg, std::vector<OpRecord>{pending}),
-               std::invalid_argument);
+  EXPECT_THROW((void)check(reg, std::vector<OpRecord>{pending}), std::invalid_argument);
 }
 
 TEST(CheckerTest, MemoizationHandlesManyConcurrentCommutingOps) {
@@ -156,7 +155,7 @@ TEST(CheckerTest, MemoizationHandlesManyConcurrentCommutingOps) {
   for (int i = 0; i < 12; ++i) {
     h.push_back(op(i % 3, "enqueue", i % 2, Value::nil(), 0, 100));
   }
-  const auto result = check_linearizability(queue, h);
+  const auto result = check(queue, h, {.allow_fast_path = false}).result;
   EXPECT_TRUE(result.linearizable);
   EXPECT_LT(result.nodes_expanded, 100000u);
 }
@@ -164,7 +163,7 @@ TEST(CheckerTest, MemoizationHandlesManyConcurrentCommutingOps) {
 TEST(CheckerTest, WitnessToStringRendersSequence) {
   adt::RegisterType reg;
   std::vector<OpRecord> h = {op(0, "write", 5, Value::nil(), 0, 1)};
-  const auto result = check_linearizability(reg, h);
+  const auto result = check(reg, h, {.allow_fast_path = false}).result;
   ASSERT_TRUE(result.linearizable);
   EXPECT_NE(result.witness_to_string(h).find("write"), std::string::npos);
 }

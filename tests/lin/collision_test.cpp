@@ -12,7 +12,7 @@
 #include "adt/data_type.hpp"
 #include "adt/fingerprint.hpp"
 #include "adt/state_base.hpp"
-#include "lin/checker.hpp"
+#include "lin/check.hpp"
 #include "sim/run_record.hpp"
 
 namespace lintime::lin {
@@ -126,12 +126,10 @@ TEST(CollisionTest, VerdictUnaffectedByTotalCollisions) {
   int rejected = 0;
   for (unsigned seed = 1; seed <= 60; ++seed) {
     const auto ops = sample_history(seed, 4);
-    CheckOptions memoized;
-    memoized.memoize = true;
-    CheckOptions plain;
-    plain.memoize = false;
-    const CheckResult with_memo = check_linearizability(type, ops, memoized);
-    const CheckResult without = check_linearizability(type, ops, plain);
+    const CheckOptions memoized{.allow_fast_path = false, .memoize = true};
+    const CheckOptions plain{.allow_fast_path = false, .memoize = false};
+    const CheckResult with_memo = check(type, ops, memoized).result;
+    const CheckResult without = check(type, ops, plain).result;
 
     // Every state shares one fingerprint, so the memo sees nothing but
     // collisions; the canonical guard must keep verdict AND witness exact.

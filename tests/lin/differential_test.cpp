@@ -57,8 +57,7 @@ void run_differential(const adt::DataType& type) {
     ASSERT_EQ(fast_report.stats.route, CheckRoute::kFastPath);
     EXPECT_TRUE(fast_report.result.linearizable) << type.name() << " seed " << seed;
 
-    FacadeOptions general_only;
-    general_only.allow_fast_path = false;
+    const CheckOptions general_only{.allow_fast_path = false};
     const auto general = check(type, ops, general_only);
     ASSERT_TRUE(general.result.linearizable) << type.name() << " seed " << seed;
     validate_witness(type, ops, general.result.witness);
@@ -66,8 +65,7 @@ void run_differential(const adt::DataType& type) {
     // Memo off must not change the verdict (every third seed: it is the
     // slow configuration).
     if (seed % 3 == 0) {
-      FacadeOptions no_memo = general_only;
-      no_memo.general.memoize = false;
+      const CheckOptions no_memo{.allow_fast_path = false, .memoize = false};
       const auto unmemoized = check(type, ops, no_memo);
       EXPECT_TRUE(unmemoized.result.linearizable);
       EXPECT_EQ(unmemoized.stats.memo_hits, 0u);

@@ -10,8 +10,10 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "adt/deque_type.hpp"
 #include "adt/pqueue_type.hpp"
 #include "adt/queue_type.hpp"
 #include "adt/register_type.hpp"
@@ -42,9 +44,7 @@ OpRecord op(sim::ProcId proc, const std::string& name, Value arg, Value ret, dou
 bool both_routes(const adt::DataType& type, const std::vector<OpRecord>& h) {
   const auto fast = check(type, h);
   EXPECT_EQ(fast.stats.route, CheckRoute::kFastPath) << fast.stats.fallback_reason;
-  FacadeOptions general_only;
-  general_only.allow_fast_path = false;
-  const auto general = check(type, h, general_only);
+  const auto general = check(type, h, {.allow_fast_path = false});
   EXPECT_EQ(general.stats.route, CheckRoute::kGeneral);
   EXPECT_EQ(fast.result.linearizable, general.result.linearizable)
       << "fast path and general checker disagree";
@@ -338,10 +338,9 @@ TEST(FastMonitorTest, RequireWitnessForcesGeneralRoute) {
       op(0, "enqueue", 1, Value::nil(), 0, 1),
       op(1, "dequeue", Value::nil(), 1, 2, 3),
   };
-  FacadeOptions options;
-  options.require_witness = true;
-  const auto report = check(q, h, options);
+  const auto report = check(q, h, {.allow_fast_path = false});
   EXPECT_EQ(report.stats.route, CheckRoute::kGeneral);
+  EXPECT_EQ(report.stats.fallback_reason, "fast path disabled");
   EXPECT_TRUE(report.result.linearizable);
   EXPECT_EQ(report.result.witness.size(), h.size());
 }
@@ -361,6 +360,72 @@ TEST(FastMonitorTest, AmbiguousHistoryRoutesToGeneral) {
   EXPECT_TRUE(report.result.linearizable);
 }
 
+// --- input contract ----------------------------------------------------------
+//
+// The shipped types keep int state, so a string argument is outside their
+// sequential spec.  Such a history is invalid input on either route:
+// lin::check throws std::invalid_argument naming the record, with the same
+// message whether or not the fast path is allowed.
+
+/// Asserts both routes reject `h`, naming record `bad`, with one message.
+void expect_rejected_on_both_routes(const adt::DataType& type, const std::vector<OpRecord>& h,
+                                    std::size_t bad) {
+  std::vector<std::string> messages;
+  for (const bool allow_fast_path : {true, false}) {
+    try {
+      (void)check(type, h, {.allow_fast_path = allow_fast_path});
+      ADD_FAILURE() << type.name() << ": accepted with allow_fast_path = " << allow_fast_path;
+    } catch (const std::invalid_argument& e) {
+      messages.emplace_back(e.what());
+      EXPECT_NE(messages.back().find(h[bad].to_string()), std::string::npos) << e.what();
+    }
+  }
+  ASSERT_EQ(messages.size(), 2u);
+  EXPECT_EQ(messages[0], messages[1]);
+}
+
+TEST(FastMonitorTest, StringArgsRejectedOnBothRoutes) {
+  adt::QueueType q;
+  adt::StackType st;
+  adt::SetType set;
+  adt::PriorityQueueType pq;
+  adt::RegisterType reg;
+  adt::DequeType deque;  // no monitor family: the general route on both sides
+  struct Case {
+    const adt::DataType* type;
+    std::vector<OpRecord> h;
+    std::size_t bad;  ///< the record the exception must name
+  };
+  const std::vector<Case> cases = {
+      {&q,
+       {op(0, "enqueue", "a", Value::nil(), 0, 1), op(1, "dequeue", Value::nil(), "a", 2, 3)},
+       0},
+      {&st, {op(0, "push", "a", Value::nil(), 0, 1), op(1, "pop", Value::nil(), "a", 2, 3)}, 0},
+      {&set, {op(0, "add", "a", Value::nil(), 0, 1), op(1, "contains", "a", 1, 2, 3)}, 0},
+      {&set, {op(0, "contains", "a", 0, 0, 1)}, 0},  // an accessor's argument
+      {&pq,
+       {op(0, "insert", "a", Value::nil(), 0, 1), op(1, "extract_min", Value::nil(), "a", 2, 3)},
+       0},
+      {&reg, {op(0, "write", "a", Value::nil(), 0, 1), op(1, "read", Value::nil(), "a", 2, 3)}, 0},
+      // The dequeue refutes the history before the search could place the
+      // string enqueue; the argument is still invalid input.
+      {&q,
+       {op(0, "enqueue", 1, Value::nil(), 0, 1), op(1, "dequeue", Value::nil(), 2, 2, 3),
+        op(0, "enqueue", "a", Value::nil(), 4, 5)},
+       2},
+      {&deque,
+       {op(0, "push_back", "a", Value::nil(), 0, 1), op(1, "pop_front", Value::nil(), "a", 2, 3)},
+       0},
+  };
+  for (const auto& [type, h, bad] : cases) {
+    // The fast path would take every family type's history: the rejection
+    // is not a fallback to the search.
+    EXPECT_EQ(fast::classify(*type, h).eligible,
+              type->monitor_family() != adt::MonitorFamily::kNone)
+        << type->name();
+    expect_rejected_on_both_routes(*type, h, bad);
+  }
+}
 
 // --- non-int values ----------------------------------------------------------
 //

@@ -9,7 +9,7 @@
 
 #include "adt/pool_type.hpp"
 #include "harness/runner.hpp"
-#include "lin/checker.hpp"
+#include "lin/check.hpp"
 
 namespace lintime::lin {
 namespace {
@@ -57,7 +57,7 @@ TEST(NondetCheckerTest, NonMinimalTakeAcceptedBySpecOnly) {
       op(2, "take", Value::nil(), 1, 6, 7, 4),
   };
   EXPECT_TRUE(check_linearizability_nondet(spec, h).linearizable);
-  EXPECT_FALSE(check_linearizability(det, h).linearizable);
+  EXPECT_FALSE(check(det, h).result.linearizable);
 }
 
 TEST(NondetCheckerTest, TakeOfAbsentElementRejected) {
@@ -109,7 +109,7 @@ TEST(NondetCheckerTest, AlgorithmOnePoolRunsSatisfySpec) {
     run.delays = std::make_shared<sim::UniformRandomDelay>(8.0, 10.0, seed);
     run.scripts = harness::random_scripts(det, 4, 4, seed * 13);
     const auto result = harness::execute(det, run);
-    EXPECT_TRUE(check_linearizability(det, result.record).linearizable) << seed;
+    EXPECT_TRUE(check(det, result.record).result.linearizable) << seed;
     EXPECT_TRUE(check_linearizability_nondet(spec, result.record).linearizable) << seed;
   }
 }

@@ -7,7 +7,7 @@
 
 #include "adt/queue_type.hpp"
 #include "adt/register_type.hpp"
-#include "lin/checker.hpp"
+#include "lin/check.hpp"
 
 namespace lintime::lin {
 namespace {
@@ -42,7 +42,7 @@ TEST(ScCheckerTest, StaleRemoteReadIsScButNotLinearizable) {
       op(0, "write", 5, Value::nil(), 0, 1, 1),
       op(1, "read", Value::nil(), 0, 2, 3, 2),
   };
-  EXPECT_FALSE(check_linearizability(reg, h).linearizable);
+  EXPECT_FALSE(check(reg, h).result.linearizable);
   EXPECT_TRUE(check_sequential_consistency(reg, h).linearizable);
 }
 
@@ -89,7 +89,7 @@ TEST(ScCheckerTest, LinearizableImpliesSc) {
       op(1, "dequeue", Value::nil(), 1, 2, 3, 2),
       op(2, "peek", Value::nil(), Value::nil(), 4, 5, 3),
   };
-  ASSERT_TRUE(check_linearizability(queue, h).linearizable);
+  ASSERT_TRUE(check(queue, h).result.linearizable);
   EXPECT_TRUE(check_sequential_consistency(queue, h).linearizable);
 }
 

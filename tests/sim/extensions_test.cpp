@@ -10,7 +10,7 @@
 #include "core/algorithm_one.hpp"
 #include "core/timing_policy.hpp"
 #include "harness/runner.hpp"
-#include "lin/checker.hpp"
+#include "lin/check.hpp"
 #include "sim/named_ops.hpp"
 #include "sim/trace_io.hpp"
 #include "sim/world.hpp"
@@ -187,7 +187,7 @@ TEST(ExtensionsTest, MessageLossBreaksLinearizabilityEventually) {
   world.invoke_at(0.0, 0, reg.op_id("write"), Value{5});
   world.invoke_at(50.0, 1, reg.op_id("read"), Value::nil());
   world.run();
-  const auto check = lin::check_linearizability(reg, world.record());
+  const auto check = lin::check(reg, world.record()).result;
   EXPECT_FALSE(check.linearizable);  // the read at p1 never heard the write
 }
 

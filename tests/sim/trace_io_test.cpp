@@ -7,7 +7,7 @@
 #include "adt/queue_type.hpp"
 #include "adt/tree_type.hpp"
 #include "harness/runner.hpp"
-#include "lin/checker.hpp"
+#include "lin/check.hpp"
 #include "shift/shift.hpp"
 
 namespace lintime::sim {
@@ -66,8 +66,8 @@ TEST(TraceIoTest, CheckerVerdictSurvivesRoundTrip) {
   adt::QueueType queue;
   const RunRecord a = sample_record();
   const RunRecord b = record_from_string(record_to_string(a));
-  EXPECT_EQ(lin::check_linearizability(queue, a).linearizable,
-            lin::check_linearizability(queue, b).linearizable);
+  EXPECT_EQ(lin::check(queue, a).result.linearizable,
+            lin::check(queue, b).result.linearizable);
 }
 
 TEST(TraceIoTest, ShiftOfDeserializedRecordMatches) {
